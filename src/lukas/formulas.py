@@ -1,5 +1,16 @@
 """Propositional/modal formula trees, parsing, printing, substitution, matching.
 
+Formulas are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006).  Each constructor looks its arguments up in a
+weak-valued table of the live nodes of its class, so structurally equal
+formulas are one and the same object: ``==`` is ``is``.  A formula parsed
+back from its rendering, substituted with the empty map, copied, deep-copied
+or unpickled is the object it came from.  Each node is immutable and stores,
+when it is made, a structural hash computed from its children's hashes (not
+from ``id``, so set and dict order is the same in every run) and a ``boxed``
+flag; hashing, equality and `has_box` cost O(1).  Constructors may be
+called from several threads at once.
+
 Negation is surface sugar only: ``~A`` parses to ``Implies(A, Bottom)`` and the
 printer re-sugars that shape back to ``~A``.  The connective set is fixed to
 {and, or, implies, bottom} plus box in K4 mode.
@@ -9,8 +20,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+import threading
+import weakref
+import zlib
+from collections.abc import Iterator, Mapping
+from typing import Optional
 
 
 class Mode(enum.Enum):
@@ -33,74 +47,164 @@ class ModeError(ValueError):
     """A formula uses connectives not available in the requested mode."""
 
 
-@dataclass(frozen=True)
+# --- hash-consed nodes --------------------------------------------------------
+
+_init = object.__setattr__
+
+#: Serialises making and forgetting nodes, so two threads cannot make two
+#: nodes for one formula.  Reentrant, because a node can die, and be
+#: forgotten, while its thread holds the lock.
+_lock = threading.RLock()
+
+
+class _Ref(weakref.ref):
+    """Weak reference to an interned node, keyed by its table entry."""
+
+    __slots__ = ("key",)
+
+
+def _intern_table() -> tuple[dict, object]:
+    """A table of live nodes and the callback that drops a node's entry
+    once the node is gone (unless a newer node has taken the key since)."""
+    live: dict = {}
+    lock = _lock          # held by the closure, for callbacks at shutdown
+
+    def forget(ref: _Ref) -> None:
+        with lock:
+            if live.get(ref.key) is ref:
+                del live[ref.key]
+
+    return live, forget
+
+
+def _interned(cls: type, key, values: tuple, h: int, boxed: bool) -> "Formula":
+    """The live node of `cls` under `key`, made from `values` (its fields, in
+    `__match_args__` order) if there is none.  Constructors call this when
+    their unlocked lookup finds no live node."""
+    with _lock:
+        ref = cls._live.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, values):
+                _init(node, name, value)
+            _init(node, "_hash", h)
+            _init(node, "boxed", boxed)
+            ref = _Ref(node, cls._forget)
+            ref.key = key
+            cls._live[key] = ref
+        return node
+
+
 class Formula:
+    """A formula node.  Only the six subclasses below are ever built, and
+    only through their constructors, which intern them."""
+
+    __slots__ = ("_hash", "boxed", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # `==` is the identity test inherited from `object`.
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
     def __str__(self) -> str:
         return render(self)
 
-    # dataclass hash recomputes structurally on every call; formulas end up
-    # as dict/set keys on hot paths, so cache it.
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self._compute_hash()
-            object.__setattr__(self, "_hash", h)
-        return h
 
-    def _compute_hash(self) -> int:
-        raise NotImplementedError
+# hash tags, one per node class
+_VAR, _BOT, _AND, _OR, _IMPLIES, _BOX = range(6)
 
 
-@dataclass(frozen=True, eq=True)
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    _live, _forget = _intern_table()
 
-    def _compute_hash(self) -> int:
-        return hash(("var", self.name))
+    def __new__(cls, name: str) -> "Var":
+        ref = cls._live.get(name)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _interned(cls, name, (name,), hash((_VAR, zlib.crc32(name.encode()))), False)
 
 
-@dataclass(frozen=True, eq=True)
 class Bottom(Formula):
-    def _compute_hash(self) -> int:
-        return hash("bot")
+    __slots__ = ()
+
+    def __new__(cls) -> "Bottom":
+        return BOT
 
 
-@dataclass(frozen=True, eq=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+    _tag: int
 
-    def _compute_hash(self) -> int:
-        return hash(("and", self.left, self.right))
-
-
-@dataclass(frozen=True, eq=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def _compute_hash(self) -> int:
-        return hash(("or", self.left, self.right))
-
-
-@dataclass(frozen=True, eq=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def _compute_hash(self) -> int:
-        return hash(("implies", self.left, self.right))
+    # Tables are keyed by the ids of the (interned) children: a live node
+    # holds its children, so while its entry can be found their ids name
+    # exactly them.
+    def __new__(cls, left: Formula, right: Formula):
+        key = (id(left), id(right))
+        ref = cls._live.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _interned(cls, key, (left, right), hash((cls._tag, left._hash, right._hash)),
+                         left.boxed or right.boxed)
 
 
-@dataclass(frozen=True, eq=True)
+class And(_Binary):
+    __slots__ = ()
+    _tag = _AND
+    _live, _forget = _intern_table()
+
+
+class Or(_Binary):
+    __slots__ = ()
+    _tag = _OR
+    _live, _forget = _intern_table()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    _tag = _IMPLIES
+    _live, _forget = _intern_table()
+
+
 class Box(Formula):
-    inner: Formula
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+    _live, _forget = _intern_table()
 
-    def _compute_hash(self) -> int:
-        return hash(("box", self.inner))
+    def __new__(cls, inner: Formula) -> "Box":
+        key = id(inner)
+        ref = cls._live.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _interned(cls, key, (inner,), hash((_BOX, inner._hash)), True)
 
 
-BOT = Bottom()
+BOT: Bottom = object.__new__(Bottom)
+_init(BOT, "_hash", hash((_BOT,)))
+_init(BOT, "boxed", False)
 
 #: A substitution is a finite map from variable names to formulas.
 Substitution = Mapping[str, Formula]
@@ -128,15 +232,15 @@ def disj(parts: list[Formula]) -> Formula:
 
 def subformulas(a: Formula) -> Iterator[Formula]:
     """All subformulas, each distinct tree yielded once, outside-in."""
-    seen: set[Formula] = set()
+    seen: set[int] = set()
     stack = [a]
     while stack:
         f = stack.pop()
-        if f in seen:
+        if id(f) in seen:
             continue
-        seen.add(f)
+        seen.add(id(f))
         yield f
-        if isinstance(f, (And, Or, Implies)):
+        if isinstance(f, _Binary):
             stack.append(f.left)
             stack.append(f.right)
         elif isinstance(f, Box):
@@ -148,11 +252,11 @@ def variables(a: Formula) -> frozenset[str]:
 
 
 def has_box(a: Formula) -> bool:
-    return any(isinstance(f, Box) for f in subformulas(a))
+    return a.boxed
 
 
 def check_mode(a: Formula, mode: Mode) -> None:
-    if mode is Mode.INT and has_box(a):
+    if mode is Mode.INT and a.boxed:
         raise ModeError(f"modality not allowed in {mode} mode: {render(a)}")
 
 
@@ -160,16 +264,17 @@ def apply_substitution(s: Substitution, a: Formula) -> Formula:
     """Replace every mapped variable simultaneously; unmapped ones stay fixed."""
     if isinstance(a, Var):
         return s.get(a.name, a)
+    if isinstance(a, _Binary):
+        left = apply_substitution(s, a.left)
+        right = apply_substitution(s, a.right)
+        if left is a.left and right is a.right:
+            return a
+        return type(a)(left, right)
     if isinstance(a, Bottom):
         return a
-    if isinstance(a, And):
-        return And(apply_substitution(s, a.left), apply_substitution(s, a.right))
-    if isinstance(a, Or):
-        return Or(apply_substitution(s, a.left), apply_substitution(s, a.right))
-    if isinstance(a, Implies):
-        return Implies(apply_substitution(s, a.left), apply_substitution(s, a.right))
     if isinstance(a, Box):
-        return Box(apply_substitution(s, a.inner))
+        inner = apply_substitution(s, a.inner)
+        return a if inner is a.inner else Box(inner)
     raise TypeError(f"not a formula: {a!r}")
 
 
@@ -184,15 +289,11 @@ def match_instance(pattern: Formula, target: Formula) -> Optional[dict[str, Form
             if bound is None:
                 binding[p.name] = t
                 return True
-            return bound == t
+            return bound is t
+        if isinstance(p, _Binary):
+            return type(t) is type(p) and walk(p.left, t.left) and walk(p.right, t.right)
         if isinstance(p, Bottom):
-            return isinstance(t, Bottom)
-        if isinstance(p, And):
-            return isinstance(t, And) and walk(p.left, t.left) and walk(p.right, t.right)
-        if isinstance(p, Or):
-            return isinstance(t, Or) and walk(p.left, t.left) and walk(p.right, t.right)
-        if isinstance(p, Implies):
-            return isinstance(t, Implies) and walk(p.left, t.left) and walk(p.right, t.right)
+            return p is t
         if isinstance(p, Box):
             return isinstance(t, Box) and walk(p.inner, t.inner)
         raise TypeError(f"not a formula: {p!r}")

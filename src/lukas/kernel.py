@@ -28,7 +28,6 @@ from .formulas import (
     Substitution,
     apply_substitution,
     check_mode,
-    has_box,
     match_instance,
     parse_formula,
     render,
@@ -124,7 +123,7 @@ class RN:
     source: int
 
 
-Justification = Union[Axiom, AntiAxiom, Hypothesis, MP, Sb, MT, RS, NS, RN]
+Justification = Axiom | AntiAxiom | Hypothesis | MP | Sb | MT | RS | NS | RN
 
 
 @dataclass(frozen=True)
@@ -171,15 +170,25 @@ _MODAL_AXIOM_TEXT = (
 )
 
 
+#: The fixed 10-formula intuitionistic Hilbert basis (not schemes; the
+#: substitution rule generates instances).
+IPC_AXIOMS: tuple[Formula, ...] = tuple(parse_formula(t, Mode.INT) for t in _IPC_AXIOM_TEXT)
+
+#: Distribution and transitivity axioms added to every K4-mode system.
+MODAL_BASE_AXIOMS: tuple[Formula, ...] = tuple(parse_formula(t, Mode.K4)
+                                               for t in _MODAL_AXIOM_TEXT)
+
+_K4_BASE_AXIOMS = IPC_AXIOMS + MODAL_BASE_AXIOMS
+
+
 def ipc_axioms() -> tuple[Formula, ...]:
-    """The fixed 10-formula intuitionistic Hilbert basis (not schemes; the
-    substitution rule generates instances)."""
-    return tuple(parse_formula(t, Mode.INT) for t in _IPC_AXIOM_TEXT)
+    """`IPC_AXIOMS`, the same tuple on every call."""
+    return IPC_AXIOMS
 
 
 def modal_base_axioms() -> tuple[Formula, ...]:
-    """Distribution and transitivity axioms added to every K4-mode system."""
-    return tuple(parse_formula(t, Mode.K4) for t in _MODAL_AXIOM_TEXT)
+    """`MODAL_BASE_AXIOMS`, the same tuple on every call."""
+    return MODAL_BASE_AXIOMS
 
 
 @dataclass(frozen=True)
@@ -201,9 +210,7 @@ class DeductiveSystem:
 
     @property
     def base_axioms(self) -> tuple[Formula, ...]:
-        if self.mode is Mode.K4:
-            return ipc_axioms() + modal_base_axioms()
-        return ipc_axioms()
+        return _K4_BASE_AXIOMS if self.mode is Mode.K4 else IPC_AXIOMS
 
     def positive_axioms(self) -> frozenset[Formula]:
         return frozenset(self.base_axioms) | self.extra_positive
@@ -255,7 +262,7 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
     for n, step in enumerate(steps, start=1):
         st, just = step.statement, step.justification
 
-        if ds.mode is Mode.INT and has_box(st.formula):
+        if ds.mode is Mode.INT and st.formula.boxed:
             return _fail(n, "modal-formula-in-int-mode")
 
         if isinstance(just, (MP, MT)):

@@ -33,7 +33,7 @@ from .formulas import (
     subformulas,
     variables,
 )
-from .kernel import ipc_axioms
+from .kernel import IPC_AXIOMS
 from .semantics import (
     Budget,
     Frame,
@@ -109,7 +109,7 @@ def _lam(name: str, var_type: Formula, body: Term) -> TmLam:
 
 
 def _axiom_instance(axiom: int, **binding: Formula) -> TmConst:
-    base = ipc_axioms()[axiom]
+    base = IPC_AXIOMS[axiom]
     inst = apply_substitution(binding, base)
     return _const(axiom, inst)
 
@@ -353,7 +353,7 @@ class _DerivationBuilder:
         return n
 
     def axiom(self, axiom_index: int) -> int:
-        return self._push(HilbertStep(ipc_axioms()[axiom_index], "axiom"))
+        return self._push(HilbertStep(IPC_AXIOMS[axiom_index], "axiom"))
 
     def hypothesis(self, formula: Formula) -> int:
         assert formula in self.hypotheses
@@ -372,7 +372,7 @@ class _DerivationBuilder:
 
     def load_term(self, term: Term) -> int:
         if isinstance(term, TmConst):
-            base = ipc_axioms()[term.axiom]
+            base = IPC_AXIOMS[term.axiom]
             source = self.axiom(term.axiom)
             if term.type == base:
                 return source
@@ -390,7 +390,7 @@ class _DerivationBuilder:
         mapping: dict[int, int] = {}
         for i, step in enumerate(derivation.steps, start=1):
             if step.rule == "axiom":
-                axiom_index = ipc_axioms().index(step.formula)
+                axiom_index = IPC_AXIOMS.index(step.formula)
                 mapping[i] = self.axiom(axiom_index)
             elif step.rule == "hyp":
                 mapping[i] = self.hypothesis(step.formula)

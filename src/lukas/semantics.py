@@ -363,9 +363,11 @@ def _posets_on(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> list[Frame]:
+@lru_cache(maxsize=None)
+def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> tuple[Frame, ...]:
     """All rooted posets with 1..max_worlds points, one per isomorphism
-    class, in a deterministic (size, canonical form) order."""
+    class, in a deterministic (size, canonical form) order.  Cached: every
+    call with the same arguments returns the same tuple."""
     if mode is not Mode.INT:
         raise ValueError("rooted poset enumeration is int-mode machinery")
     if max_worlds > 5:
@@ -378,7 +380,7 @@ def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> list[Fram
                 rel.append(row << 1)      # shift the old points past the root
             frames.append(Frame(Mode.INT, n, _canonical_key(n, rel)))
     frames.sort(key=lambda f: (f.n, f.rel))
-    return frames
+    return tuple(frames)
 
 
 def root_of(frame: Frame) -> Optional[int]:

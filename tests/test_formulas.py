@@ -1,10 +1,20 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lukas
 from conftest import formula_strategy
 from lukas.formulas import (
     BOT,
     And,
+    Bottom,
     Box,
     Implies,
     Mode,
@@ -12,10 +22,12 @@ from lukas.formulas import (
     ParseError,
     Var,
     apply_substitution,
+    has_box,
     match_instance,
     neg,
     parse_formula,
     render,
+    subformulas,
     variables,
 )
 
@@ -109,3 +121,112 @@ def test_matching_completeness_on_instances(pattern, data):
     assert binding is not None
     for name in variables(pattern):
         assert binding[name] == subst[name]
+
+
+# --- interning ---------------------------------------------------------------
+
+
+def test_constructors_intern():
+    assert Var("p") is Var("p")
+    assert Bottom() is BOT
+    assert And(Var("p"), BOT) is And(Var("p"), BOT)
+    assert Or(Var("p"), BOT) is not And(Var("p"), BOT)
+    assert Box(Var("p")) is parse_formula("[]p", Mode.K4)
+    assert hash(Implies(Var("p"), Var("q"))) != hash(Implies(Var("q"), Var("p")))
+
+
+def test_formulas_are_immutable():
+    f = And(Var("p"), Var("q"))
+    with pytest.raises(AttributeError):
+        f.left = Var("r")
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f is And(Var("p"), Var("q"))
+
+
+@given(formula_strategy(modal=True))
+def test_parse_of_render_is_the_same_object(f):
+    assert parse_formula(render(f), Mode.K4) is f
+
+
+@given(formula_strategy(modal=True))
+def test_empty_substitution_is_the_same_object(f):
+    assert apply_substitution({}, f) is f
+    assert apply_substitution({"p": Var("p")}, f) is f
+
+
+@given(formula_strategy(modal=True))
+def test_copy_and_pickle_return_the_same_object(f):
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+@given(formula_strategy(modal=True))
+def test_has_box_agrees_with_a_walk(f):
+    assert has_box(f) == any(isinstance(g, Box) for g in subformulas(f))
+
+
+def test_threads_building_one_formula_get_one_object():
+    """Four threads parse the same fresh formulas at once, with the switch
+    interval cut so they interleave inside the constructors; each formula
+    must still come out as one object."""
+    workers, rounds = 4, 40
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            texts = [f"(a{r}_{k} -> b{r}) & (b{r} | ~c{k})" for k in range(20)]
+            results: list = [None] * workers
+            barrier = threading.Barrier(workers)
+
+            def work(w: int) -> None:
+                barrier.wait(timeout=30)
+                results[w] = [parse_formula(t) for t in texts]
+
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for w in range(1, workers):
+                assert all(x is y for x, y in zip(results[0], results[w], strict=True))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _run_python(code: str, **env: str) -> str:
+    """Run `code` in a fresh interpreter that imports this `lukas`."""
+    src = str(Path(lukas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_formula_hashes_do_not_depend_on_the_hash_seed():
+    code = ("from lukas.formulas import parse_formula, Mode\n"
+            "print([hash(parse_formula(t, Mode.K4)) for t in "
+            "('p', 'bot', 'p & q -> q | ~p', '[]p -> [][]q')])")
+    assert _run_python(code, PYTHONHASHSEED="0") == _run_python(code, PYTHONHASHSEED="1")
+
+
+def test_reimport_frees_the_previous_import():
+    """A fresh `import lukas` must not keep the previous one's modules
+    alive, as module-level `typing` aliases did through typing's cache."""
+    code = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "lukas" or m.startswith("lukas.")]:
+        del sys.modules[name]
+    return importlib.import_module("lukas")
+
+first = weakref.ref(fresh().formulas.Formula)
+fresh()
+gc.collect()
+print(first() is None)
+"""
+    assert _run_python(code).strip() == "True"

@@ -231,6 +231,12 @@ def test_enumerate_rooted_posets_small():
     assert counts == {1: 1, 2: 1, 3: 2, 4: 5, 5: 16}
 
 
+def test_enumeration_is_cached():
+    first = enumerate_rooted_posets(5)
+    assert isinstance(first, tuple)
+    assert enumerate_rooted_posets(5) is first
+
+
 def test_enumeration_is_deterministic_and_canonical():
     first = enumerate_rooted_posets(4)
     second = enumerate_rooted_posets(4)
