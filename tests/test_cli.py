@@ -187,3 +187,40 @@ def test_resource_bound_exit_code(workdir, capsys):
     lines = ["mode int", "worlds 9"] + [f"rel {i} {i + 1}" for i in range(8)]
     (workdir / "big.frame").write_text("\n".join(lines) + "\n")
     assert main(["valid", "--frame", str(workdir / "big.frame"), "p -> p"]) == 3
+
+
+#: sha256 of the standard output of each command, pinned so that a
+#: refactor cannot change an emitted proof script or model by a byte.
+#: `{frame}` is a one-point frame file, `{system}` the manifest that the
+#: `axiomatize` line writes for it.
+GOLDEN_DIGESTS = [
+    (("prove-cpc", "(p -> p) & (q | (q -> p))"),
+     "3dbe5e17b61fb80dcdc67ba34df21bcf064bf891bf8f00b6af4d8566fc63cc3d"),
+    (("prove-cpc", "((p -> q) -> p) | (p -> q)"),
+     "07a42eea8cc434e43177dcb1aa541878728f8cec89d6343b920fe75207119a46"),
+    (("axiomatize", "--frames", "{frame}"),
+     "82cbc59ba131bc027d312893e683759fe5124e3850d36f5f2395ac0c42e8a41f"),
+    (("refute", "--system", "{system}", "(p -> q) -> p"),
+     "5c722e226dfdaaea1ab0834ae793c55a4872878b1d85dae02058b16b017083c3"),
+    (("refute", "--system", "{system}", "p | ~q"),
+     "11614f09bf57d9ea397c790a71cb0fe98676e9d440129752bb1c228684db6349"),
+    (("ipc", "(p -> q) -> (~q -> ~p)"),
+     "50f8a082942be48d8fc081165cff4fe12406d5a515b4904f876b7ea3062fca67"),
+    (("ipc", "p & (q | r) -> (p & q) | (p & r)"),
+     "73783167b870d74e48c529e2f69a82566fcdbea8043cb28d183687dfb24e92b9"),
+    (("ipc", "~~(p | ~p)"),
+     "f7d483c56b9a9da6a4e64dec86181983e1cdd3b38b29392af7cfc8241847fc20"),
+]
+
+
+def test_golden_output_digests(workdir, capsys):
+    import hashlib
+    frame, system = workdir / "point.frame", workdir / "point.ds"
+    frame.write_text("mode int\nworlds 1\n")
+    for argv, digest in GOLDEN_DIGESTS:
+        argv = [a.format(frame=frame, system=system) for a in argv]
+        code, out = run(capsys, *argv)
+        if argv[0] == "axiomatize":
+            system.write_text(out)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
