@@ -5,14 +5,12 @@ refutations, and every emitted inference is re-checked.  Reports the split
 and proof-size statistics."""
 
 import argparse
-import itertools
 import random
 import time
 
 from lukas.complete_sets import build_positive_cpc, build_refutation, cpc_context
-from lukas.formulas import render, variables
+from lukas.formulas import render
 from lukas.kernel import check_inference
-from lukas.transforms import _classical_value
 
 
 def random_corpus(count: int, seed: int):
@@ -44,11 +42,7 @@ def main() -> int:
     start = time.monotonic()
     positive_sizes, negative_sizes, failures = [], [], 0
     for f in corpus:
-        names = sorted(variables(f))
-        tautology = all(
-            _classical_value(f, dict(zip(names, values)))
-            for values in itertools.product((False, True), repeat=len(names)))
-        if tautology:
+        if oracle(f):
             inf = build_positive_cpc(f)
             positive_sizes.append(len(inf.steps))
         else:

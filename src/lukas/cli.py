@@ -7,6 +7,7 @@ not found), 2 usage or parse error, 3 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -142,10 +143,7 @@ def cmd_ipc(args, out: _Output) -> int:
     formula = parse_formula(args.formula, Mode.INT)
     result = prove_ipc(formula)
     if result.proved:
-        from .kernel import system
-        from .transforms import convert_ipc
-        inf = convert_ipc(result.derivation, system(Mode.INT))
-        out.verdict("THEOREM", payload=render_proof_script(Mode.INT, inf))
+        out.verdict("THEOREM", payload=render_proof_script(Mode.INT, result.derivation))
         return 0
     assert result.countermodel is not None
     out.verdict("COUNTERMODEL", payload=render_model_file(result.countermodel))
@@ -180,18 +178,14 @@ def cmd_transform(args, out: _Output) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lukas",
         description="proof and refutation calculi for intermediate logics and K4")
-    parser.add_argument("--mode", choices=["int", "k4"], default="int",
-                        help="formula mode for bare-formula commands")
-    parser.add_argument("--bound", type=int, default=3,
-                        help="frame-size bound for formula families")
     parser.add_argument("--budget", type=int, default=8,
                         help="world/variable budget for enumeration")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="generator seed (all built-in commands are deterministic)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -213,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axiomatize", help="emit a system manifest for frames")
     p.add_argument("--frames", nargs="+", required=True)
-    p.add_argument("--bound", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--bound", type=int, default=3,
+                   help="frame-size bound for the Jankov family")
     p.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(run=cmd_axiomatize)
 

@@ -21,6 +21,7 @@ from .formulas import (
     Mode,
     ParseError,
     Var,
+    apply_substitution,
     conj,
     disj,
     neg,
@@ -31,17 +32,11 @@ from .kernel import (
     AntiAxiom,
     Axiom,
     DeductiveSystem,
-    Hypothesis,
     Inference,
-    Justification,
     MP,
-    MT,
-    NS,
-    RN,
-    RS,
+    ProofBuilder,
     Sb,
     Sign,
-    Statement,
     Step,
     asserts,
     check_inference,
@@ -59,7 +54,7 @@ from .semantics import (
     root_of,
     tabular_oracle,
 )
-from .transforms import convert_ipc, symmetry_transform
+from .transforms import symmetry_transform
 
 
 class SearchExhaustedError(Exception):
@@ -177,10 +172,9 @@ def build_refutation(ds: DeductiveSystem,
                      search_budget: SearchBudget = SearchBudget()) -> Inference:
     """Produce a checked inference of -a with no hypotheses.
 
-    Searches the family for a rejected formula C syntactically derivable from
-    {a}, converts that derivation to a positive inference of +C from +a,
-    runs the refutation transformer to get -C |- -a, and discharges -C by the
-    anti-axiom step.
+    Searches the family for a rejected formula C with a positive inference
+    of +C from +a, runs the refutation transformer on it to get -C |- -a,
+    and discharges -C by the anti-axiom step.
     """
     if oracle(a):
         raise RefutationPreconditionError(
@@ -190,10 +184,9 @@ def build_refutation(ds: DeductiveSystem,
             continue
         if not ds.is_anti_axiom(entry.formula):
             continue
-        derivation = derive_from_hypotheses([a], entry.formula, search_budget)
-        if derivation is None:
+        positive = derive_from_hypotheses([a], entry.formula, search_budget)
+        if positive is None:
             continue
-        positive = convert_ipc(derivation, ds)
         index, refutation = symmetry_transform(ds, positive, oracle)
         assert index == 1
         return _discharge(ds, refutation, entry.formula)
@@ -204,34 +197,9 @@ def build_refutation(ds: DeductiveSystem,
 def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inference:
     """Replace the -C hypothesis of a refutation with the anti-axiom step."""
     assert refutation.hypotheses == (rejects(anti),)
-    steps: list[Step] = []
-    mapping: dict[int, int] = {}
-    anchor: Optional[int] = None
-
-    def out(statement: Statement, just: Justification) -> int:
-        steps.append(Step(statement, just))
-        return len(steps)
-
-    anchor = out(rejects(anti), AntiAxiom())
-    for old, step in enumerate(refutation.steps, start=1):
-        just = step.justification
-        if isinstance(just, Hypothesis):
-            mapping[old] = anchor
-            continue
-        if isinstance(just, MP):
-            just = MP(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, MT):
-            just = MT(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, Sb):
-            just = Sb(mapping[just.source], just.mapping)
-        elif isinstance(just, RS):
-            just = RS(mapping[just.source])
-        elif isinstance(just, NS):
-            just = NS(mapping[just.source])
-        elif isinstance(just, RN):
-            just = RN(mapping[just.source])
-        mapping[old] = out(step.statement, just)
-    result = Inference((), tuple(steps))
+    builder = ProofBuilder()
+    anchor = builder.add(rejects(anti), AntiAxiom())
+    result = builder.conclude(builder.splice(refutation, mapping={1: anchor}))
     report = check_inference(ds, result)
     if not report.ok:
         raise SearchExhaustedError(f"discharged refutation fails checking: {report}")
@@ -266,7 +234,6 @@ def _stability_template(ds: DeductiveSystem,
     root = root_of(two_chain.frame)
     assert root is not None
     subst = {f"x{i}": (p if i == root else neg(p)) for i in range(2)}
-    from .formulas import apply_substitution
     instance = apply_substitution(subst, two_chain.formula)
     target = parse_formula("~~p -> p")
     lemma = Implies(instance, target)
@@ -274,37 +241,11 @@ def _stability_template(ds: DeductiveSystem,
     if term is None:
         raise TemplateUnavailableError(
             "stability lemma is not intuitionistically derivable")
-    builder_steps: list[Step] = [
-        Step(asserts(two_chain.formula), Axiom()),
-        Step(asserts(instance), Sb(1, tuple(sorted(subst.items())))),
-    ]
-    index: dict[Statement, int] = {s.statement: i + 1 for i, s in enumerate(builder_steps)}
-
-    def add(statement: Statement, just: Justification) -> int:
-        existing = index.get(statement)
-        if existing is not None:
-            return existing
-        builder_steps.append(Step(statement, just))
-        index[statement] = len(builder_steps)
-        return len(builder_steps)
-
-    derivation = _term_to_derivation(term)
-    mapping: dict[int, int] = {}
-    for i, hstep in enumerate(derivation.steps, start=1):
-        if hstep.rule == "axiom":
-            mapping[i] = add(asserts(hstep.formula), Axiom())
-        elif hstep.rule == "mp":
-            mapping[i] = add(asserts(hstep.formula),
-                             MP(mapping[hstep.refs[0]], mapping[hstep.refs[1]]))
-        elif hstep.rule == "sub":
-            mapping[i] = add(asserts(hstep.formula),
-                             Sb(mapping[hstep.refs[0]], hstep.subst))
-        else:
-            raise TemplateUnavailableError("template lemma used hypotheses")
-    final = add(asserts(target), MP(mapping[len(derivation.steps)], 2))
-    if final != len(builder_steps):
-        builder_steps.append(Step(asserts(target), Sb(final, ())))
-    template = Inference((), tuple(builder_steps))
+    builder = ProofBuilder()
+    axiom = builder.add(asserts(two_chain.formula), Axiom())
+    premise = builder.add(asserts(instance), Sb.of(axiom, subst))
+    lemma_index = builder.splice(_term_to_derivation(term))
+    template = builder.conclude(builder.add(asserts(target), MP(lemma_index, premise)))
     report = check_inference(ds, template)
     if not report.ok:
         raise TemplateUnavailableError(f"template fails checking: {report}")
@@ -326,34 +267,16 @@ def build_positive_cpc(a: Formula, bound: int = _CPC_BOUND) -> Inference:
         if term is None:
             raise TemplateUnavailableError(
                 f"double negation of {render(a)} did not prove; prover defect")
-        derivation = _term_to_derivation(term)
-        inf = convert_ipc(derivation, ds)
-        steps = list(inf.steps)
-        index: dict[Statement, int] = {}
-        for i, s in enumerate(steps, start=1):
-            index.setdefault(s.statement, i)
-        template_map: dict[int, int] = {}
-        for i, s in enumerate(template.steps, start=1):
-            just = s.justification
-            if isinstance(just, MP):
-                just = MP(template_map[just.major], template_map[just.minor])
-            elif isinstance(just, Sb):
-                just = Sb(template_map[just.source], just.mapping)
-            existing = index.get(s.statement)
-            if existing is not None:
-                template_map[i] = existing
-                continue
-            steps.append(Step(s.statement, just))
-            index[s.statement] = len(steps)
-            template_map[i] = len(steps)
-        stability_index = template_map[len(template.steps)]
-        instance = Implies(doubled, a)
-        steps.append(Step(asserts(instance),
-                          Sb(stability_index, (("p", a),))))
-        steps.append(Step(asserts(a), MP(len(steps), index[asserts(doubled)])))
-        inf = Inference((), tuple(steps))
+        # the derivation of ~~a goes in verbatim, its closing repeat included
+        builder = ProofBuilder((), _term_to_derivation(term).steps)
+        stability = builder.splice(template)
+        instance = builder.add(asserts(Implies(doubled, a)), Sb.of(stability, {"p": a}))
+        # +a closes by modus ponens even when the template already holds it
+        # (a is the two-chain axiom or its instance)
+        closing = Step(asserts(a), MP(instance, builder.index[asserts(doubled)]))
+        inf = Inference((), (*builder.steps, closing))
     else:
-        inf = convert_ipc(_term_to_derivation(term), ds)
+        inf = _term_to_derivation(term)
     report = check_inference(ds, inf)
     if not report.ok:
         raise TemplateUnavailableError(f"positive proof fails checking: {report}")
@@ -394,6 +317,8 @@ def parse_manifest(text: str) -> Manifest:
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("mode", "bound", "frame") and len(parts) < 2:
+            raise ParseError(f"manifest directive {parts[0]!r} needs a value", 0)
         if parts[0] == "mode":
             mode = Mode(parts[1])
         elif parts[0] == "bound":

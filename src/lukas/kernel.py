@@ -16,6 +16,7 @@ Step numbers run consecutively from 1; rule indices point strictly backwards.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -66,32 +67,64 @@ def rejects(a: Formula) -> Statement:
 
 
 # --- justifications --------------------------------------------------------
+#
+# Every justification names the earlier steps it rests on (`refs`) and can
+# re-point them through an old-to-new index map (`remap`).
+
+
+class _NoPremise:
+    def refs(self) -> tuple[int, ...]:
+        return ()
+
+    def remap(self, mapping: Mapping[int, int]) -> "Justification":
+        return self
 
 
 @dataclass(frozen=True)
-class Axiom:
-    pass
+class _OnePremise:
+    source: int
+
+    def refs(self) -> tuple[int, ...]:
+        return (self.source,)
+
+    def remap(self, mapping: Mapping[int, int]) -> "Justification":
+        return type(self)(mapping[self.source])
 
 
 @dataclass(frozen=True)
-class AntiAxiom:
-    pass
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    pass
-
-
-@dataclass(frozen=True)
-class MP:
+class _TwoPremises:
     major: int
     minor: int
 
+    def refs(self) -> tuple[int, ...]:
+        return (self.major, self.minor)
+
+    def remap(self, mapping: Mapping[int, int]) -> "Justification":
+        return type(self)(mapping[self.major], mapping[self.minor])
+
 
 @dataclass(frozen=True)
-class Sb:
-    source: int
+class Axiom(_NoPremise):
+    pass
+
+
+@dataclass(frozen=True)
+class AntiAxiom(_NoPremise):
+    pass
+
+
+@dataclass(frozen=True)
+class Hypothesis(_NoPremise):
+    pass
+
+
+@dataclass(frozen=True)
+class MP(_TwoPremises):
+    pass
+
+
+@dataclass(frozen=True)
+class Sb(_OnePremise):
     mapping: tuple[tuple[str, Formula], ...]
 
     @staticmethod
@@ -101,26 +134,28 @@ class Sb:
     def substitution(self) -> dict[str, Formula]:
         return dict(self.mapping)
 
-
-@dataclass(frozen=True)
-class MT:
-    major: int
-    minor: int
+    def remap(self, mapping: Mapping[int, int]) -> "Sb":
+        return Sb(mapping[self.source], self.mapping)
 
 
 @dataclass(frozen=True)
-class RS:
-    source: int
+class MT(_TwoPremises):
+    pass
 
 
 @dataclass(frozen=True)
-class NS:
-    source: int
+class RS(_OnePremise):
+    pass
 
 
 @dataclass(frozen=True)
-class RN:
-    source: int
+class NS(_OnePremise):
+    pass
+
+
+@dataclass(frozen=True)
+class RN(_OnePremise):
+    pass
 
 
 Justification = Axiom | AntiAxiom | Hypothesis | MP | Sb | MT | RS | NS | RN
@@ -147,6 +182,76 @@ class Inference:
         if not self.steps:
             raise ValueError("empty inference has no conclusion")
         return self.steps[-1].statement
+
+    def support(self, target: int) -> set[int]:
+        """Step `target` and every step it rests on, transitively."""
+        out: set[int] = set()
+        stack = [target]
+        while stack:
+            i = stack.pop()
+            if i not in out:
+                out.add(i)
+                stack.extend(self.steps[i - 1].justification.refs())
+        return out
+
+
+class ProofBuilder:
+    """Accumulates an inference, reusing the earlier step whenever a
+    statement is added a second time.
+
+    Untrusted, like everything outside `check_inference`: what it builds is
+    only as good as the check its caller runs on the result.  `steps` seeds
+    the builder verbatim, duplicates included; each statement is then found
+    at its first occurrence.
+    """
+
+    def __init__(self, hypotheses: Sequence[Statement] = (),
+                 steps: Sequence[Step] = ()):
+        self.hypotheses = tuple(hypotheses)
+        self.steps: list[Step] = list(steps)
+        self.index: dict[Statement, int] = {}
+        for n, step in enumerate(self.steps, start=1):
+            self.index.setdefault(step.statement, n)
+
+    def add(self, statement: Statement, just: Justification) -> int:
+        """The index of `statement`, appended with `just` if it is new."""
+        existing = self.index.get(statement)
+        if existing is not None:
+            return existing
+        self.steps.append(Step(statement, just))
+        n = len(self.steps)
+        self.index[statement] = n
+        return n
+
+    def splice(self, inf: Inference, upto: Optional[int] = None,
+               mapping: Optional[dict[int, int]] = None) -> int:
+        """Add the steps of `inf`, all of them or only the support of step
+        `upto`, re-pointed at their new indices; return the new index of its
+        last step or of `upto`.  Entries already in `mapping` stand for steps
+        of `inf` that the builder holds; they are not copied, and `mapping`
+        ends up holding every old-to-new index."""
+        mapping = {} if mapping is None else mapping
+        last = len(inf.steps) if upto is None else upto
+        order = range(1, last + 1) if upto is None else sorted(inf.support(upto))
+        for old in order:
+            if old not in mapping:
+                step = inf.steps[old - 1]
+                mapping[old] = self.add(step.statement, step.justification.remap(mapping))
+        return mapping[last]
+
+    def conclude(self, index: int) -> Inference:
+        """The inference built so far, ending in the statement at `index`.
+
+        Deduplication may have left that statement mid-list; it is then
+        repeated last, by an empty substitution when it is asserted and by a
+        reverse substitution with the identity match when it is rejected.
+        """
+        if index != len(self.steps):
+            statement = self.steps[index - 1].statement
+            just: Justification = (Sb(index, ()) if statement.sign is Sign.ASSERT
+                                   else RS(index))
+            self.steps.append(Step(statement, just))
+        return Inference(self.hypotheses, tuple(self.steps))
 
 
 # --- deductive systems -----------------------------------------------------
@@ -179,16 +284,6 @@ MODAL_BASE_AXIOMS: tuple[Formula, ...] = tuple(parse_formula(t, Mode.K4)
                                                for t in _MODAL_AXIOM_TEXT)
 
 _K4_BASE_AXIOMS = IPC_AXIOMS + MODAL_BASE_AXIOMS
-
-
-def ipc_axioms() -> tuple[Formula, ...]:
-    """`IPC_AXIOMS`, the same tuple on every call."""
-    return IPC_AXIOMS
-
-
-def modal_base_axioms() -> tuple[Formula, ...]:
-    """`MODAL_BASE_AXIOMS`, the same tuple on every call."""
-    return MODAL_BASE_AXIOMS
 
 
 @dataclass(frozen=True)
@@ -265,13 +360,9 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
         if ds.mode is Mode.INT and st.formula.boxed:
             return _fail(n, "modal-formula-in-int-mode")
 
-        if isinstance(just, (MP, MT)):
-            refs = (just.major, just.minor)
-        elif isinstance(just, (Sb, RS, NS, RN)):
-            refs = (just.source,)
-        else:
-            refs = ()
-        if any(r < 1 or r >= n for r in refs):
+        if not isinstance(just, Justification):
+            return _fail(n, "unknown-justification")
+        if any(r < 1 or r >= n for r in just.refs()):
             return _fail(n, "index-out-of-range")
 
         if isinstance(just, Axiom):
@@ -323,7 +414,7 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
                 return _fail(n, "sign-mismatch")
             if st.formula != Box(source.formula):
                 return _fail(n, "formula-mismatch")
-        elif isinstance(just, RN):
+        else:  # RN
             if ds.mode is not Mode.K4:
                 return _fail(n, "modal-rule-in-int-mode")
             source = stmt(just.source)
@@ -331,8 +422,6 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
                 return _fail(n, "sign-mismatch")
             if source.formula != Box(st.formula):
                 return _fail(n, "formula-mismatch")
-        else:
-            return _fail(n, "unknown-justification")
 
     return CheckReport(ok=True, conclusion=steps[-1].statement)
 
@@ -451,8 +540,10 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
         if line.startswith("hyp "):
             if steps:
                 raise ParseError("hypotheses must precede steps", 0)
-            rest = line[4:].strip()
-            sign_tok, formula_text = rest.split(None, 1)
+            parts = line.split(None, 2)
+            if len(parts) != 3:
+                raise ParseError(f"hyp needs a sign and a formula: {line!r}", 0)
+            _, sign_tok, formula_text = parts
             hypotheses.append(Statement(_parse_sign(sign_tok, "hypothesis"),
                                         parse_formula(formula_text, mode)))
             continue

@@ -4,8 +4,9 @@ Hilbert-style search for derivability from hypotheses with substitution.
 The decision engine is a contraction-free root-first sequent search (the
 terminating LJT-style calculus).  A successful run yields a typed lambda
 term; lambdas are then eliminated by bracket abstraction over the Hilbert
-basis, so the published artifact of a proof is always an axioms+MP+Sb
-derivation.  A failed run is backed by an independent semantic countermodel
+basis, and the result is elaborated through a `ProofBuilder` straight into
+an all-positive kernel `Inference` of axioms, MP and substitution steps.
+A failed run is backed by an independent semantic countermodel
 search over small rooted posets, so the two outcomes never rest on the same
 code path.
 """
@@ -25,6 +26,7 @@ from .formulas import (
     Implies,
     Mode,
     Or,
+    Substitution,
     Var,
     apply_substitution,
     check_mode,
@@ -33,7 +35,18 @@ from .formulas import (
     subformulas,
     variables,
 )
-from .kernel import IPC_AXIOMS
+from .kernel import (
+    IPC_AXIOMS,
+    MP,
+    Axiom,
+    Hypothesis,
+    Inference,
+    ProofBuilder,
+    Sb,
+    asserts,
+    check_inference,
+    system,
+)
 from .semantics import (
     Budget,
     Frame,
@@ -44,6 +57,7 @@ from .semantics import (
     falsifying_model,
     frame_from_pairs,
     frame_valid,
+    point_frame,
 )
 
 # axiom indices in the fixed basis (0-based)
@@ -314,112 +328,47 @@ def _eliminate_lambdas(term: Term) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-# --- Hilbert derivations ----------------------------------------------------
+# --- elaboration into an inference -------------------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertStep:
-    formula: Formula
-    rule: str                                  # axiom | hyp | mp | sub
-    refs: tuple[int, ...] = ()
-    subst: tuple[tuple[str, Formula], ...] = ()
+def _substitute(builder: ProofBuilder, source: int, subst: Substitution) -> int:
+    formula = builder.steps[source - 1].statement.formula
+    target = apply_substitution(subst, formula)
+    if target == formula:
+        return source
+    return builder.add(asserts(target), Sb.of(source, subst))
 
 
-@dataclass(frozen=True)
-class HilbertDerivation:
-    """Hilbert-style derivation: axioms + hypotheses + MP + substitution."""
-
-    hypotheses: tuple[Formula, ...]
-    steps: tuple[HilbertStep, ...]
-
-    @property
-    def conclusion(self) -> Formula:
-        return self.steps[-1].formula
+def _mp(builder: ProofBuilder, major: int, minor: int) -> int:
+    major_f = builder.steps[major - 1].statement.formula
+    minor_f = builder.steps[minor - 1].statement.formula
+    assert isinstance(major_f, Implies) and major_f.left == minor_f
+    return builder.add(asserts(major_f.right), MP(major, minor))
 
 
-class _DerivationBuilder:
-    def __init__(self, hypotheses: Sequence[Formula] = ()):
-        self.hypotheses = tuple(hypotheses)
-        self.steps: list[HilbertStep] = []
-        self.index: dict[Formula, int] = {}
-
-    def _push(self, step: HilbertStep) -> int:
-        existing = self.index.get(step.formula)
-        if existing is not None:
-            return existing
-        self.steps.append(step)
-        n = len(self.steps)
-        self.index[step.formula] = n
-        return n
-
-    def axiom(self, axiom_index: int) -> int:
-        return self._push(HilbertStep(IPC_AXIOMS[axiom_index], "axiom"))
-
-    def hypothesis(self, formula: Formula) -> int:
-        assert formula in self.hypotheses
-        return self._push(HilbertStep(formula, "hyp"))
-
-    def substitute(self, source: int, subst: dict[str, Formula]) -> int:
-        target = apply_substitution(subst, self.steps[source - 1].formula)
-        if target == self.steps[source - 1].formula:
+def _load_term(builder: ProofBuilder, term: Term) -> int:
+    if isinstance(term, TmConst):
+        base = IPC_AXIOMS[term.axiom]
+        source = builder.add(asserts(base), Axiom())
+        if term.type == base:
             return source
-        return self._push(HilbertStep(target, "sub", (source,), tuple(sorted(subst.items()))))
-
-    def mp(self, major: int, minor: int) -> int:
-        major_f = self.steps[major - 1].formula
-        assert isinstance(major_f, Implies) and major_f.left == self.steps[minor - 1].formula
-        return self._push(HilbertStep(major_f.right, "mp", (major, minor)))
-
-    def load_term(self, term: Term) -> int:
-        if isinstance(term, TmConst):
-            base = IPC_AXIOMS[term.axiom]
-            source = self.axiom(term.axiom)
-            if term.type == base:
-                return source
-            binding = match_instance(base, term.type)
-            assert binding is not None, "constant type is not an axiom instance"
-            return self.substitute(source, binding)
-        if isinstance(term, TmApp):
-            major = self.load_term(term.fun)
-            minor = self.load_term(term.arg)
-            return self.mp(major, minor)
-        raise AssertionError(f"open or unelaborated term: {term!r}")
-
-    def replay(self, derivation: HilbertDerivation) -> int:
-        """Append another derivation's steps, reusing shared formulas."""
-        mapping: dict[int, int] = {}
-        for i, step in enumerate(derivation.steps, start=1):
-            if step.rule == "axiom":
-                axiom_index = IPC_AXIOMS.index(step.formula)
-                mapping[i] = self.axiom(axiom_index)
-            elif step.rule == "hyp":
-                mapping[i] = self.hypothesis(step.formula)
-            elif step.rule == "sub":
-                mapping[i] = self.substitute(mapping[step.refs[0]], dict(step.subst))
-            elif step.rule == "mp":
-                mapping[i] = self.mp(mapping[step.refs[0]], mapping[step.refs[1]])
-            else:
-                raise ValueError(f"unknown Hilbert rule {step.rule!r}")
-        return mapping[len(derivation.steps)]
-
-    def conclude(self, index: int) -> None:
-        """Force the step at `index` into final position; deduplication may
-        have left the intended conclusion in the middle of the list."""
-        if index != len(self.steps):
-            formula = self.steps[index - 1].formula
-            self.steps.append(HilbertStep(formula, "sub", (index,), ()))
-
-    def build(self) -> HilbertDerivation:
-        return HilbertDerivation(self.hypotheses, tuple(self.steps))
+        binding = match_instance(base, term.type)
+        assert binding is not None, "constant type is not an axiom instance"
+        return _substitute(builder, source, binding)
+    if isinstance(term, TmApp):
+        major = _load_term(builder, term.fun)
+        minor = _load_term(builder, term.arg)
+        return _mp(builder, major, minor)
+    raise AssertionError(f"open or unelaborated term: {term!r}")
 
 
-def _term_to_derivation(term: Term) -> HilbertDerivation:
+def _term_to_derivation(term: Term) -> Inference:
+    """The all-positive, hypothesis-free inference a closed proof term
+    elaborates to: axioms, substitution and modus ponens only."""
     closed = _eliminate_lambdas(term)
     assert not closed.free, "proof term has free variables"
-    builder = _DerivationBuilder()
-    final = builder.load_term(closed)
-    builder.conclude(final)
-    return builder.build()
+    builder = ProofBuilder()
+    return builder.conclude(_load_term(builder, closed))
 
 
 # --- public API --------------------------------------------------------------
@@ -427,7 +376,7 @@ def _term_to_derivation(term: Term) -> HilbertDerivation:
 
 @dataclass(frozen=True)
 class ProofResult:
-    derivation: Optional[HilbertDerivation] = None
+    derivation: Optional[Inference] = None
     countermodel: Optional[KripkeModel] = None
 
     @property
@@ -436,6 +385,7 @@ class ProofResult:
 
 
 _COUNTERMODEL_BUDGET = Budget(max_worlds=5, max_vars=4)
+_INT = system(Mode.INT)
 
 
 def decide_ipc(a: Formula, fuel: int = 200_000) -> Optional[Term]:
@@ -459,14 +409,18 @@ def countermodel_search(a: Formula, max_worlds: int = 5) -> Optional[KripkeModel
 def prove_ipc(a: Formula, fuel: int = 200_000) -> ProofResult:
     """Decide `a` over the intuitionistic basis.
 
-    Returns a Hilbert derivation on success, otherwise a finite countermodel
-    found by independent semantic search.  If neither materialises the two
-    engines disagree and we refuse to guess.
+    Returns a checked inference of +a on success, otherwise a finite
+    countermodel found by independent semantic search.  If neither
+    materialises the two engines disagree and we refuse to guess.
     """
     term = decide_ipc(a, fuel)
     if term is not None:
         assert term.type == a
-        return ProofResult(derivation=_term_to_derivation(term))
+        inf = _term_to_derivation(term)
+        report = check_inference(_INT, inf)
+        if not report.ok:
+            raise ValueError(f"elaborated derivation fails checking: {report}")
+        return ProofResult(derivation=inf)
     model = countermodel_search(a)
     if model is None:
         raise ResourceBoundError(
@@ -490,34 +444,13 @@ _TOP = Implies(BOT, BOT)
 
 @lru_cache(maxsize=1)
 def _filter_frames() -> tuple[Frame, ...]:
+    """The one-point frame first: it is the classical truth table."""
     fork = frame_from_pairs(Mode.INT, 3, [(0, 1), (0, 2)])
-    return (chain_frame(2), chain_frame(3), fork)
-
-
-def _classically_valid(a: Formula) -> bool:
-    names = sorted(variables(a))
-
-    def eval_at(f: Formula, env: dict[str, bool]) -> bool:
-        if isinstance(f, Var):
-            return env[f.name]
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, And):
-            return eval_at(f.left, env) and eval_at(f.right, env)
-        if isinstance(f, Or):
-            return eval_at(f.left, env) or eval_at(f.right, env)
-        if isinstance(f, Implies):
-            return (not eval_at(f.left, env)) or eval_at(f.right, env)
-        raise TypeError(f"not a propositional formula: {f!r}")
-
-    return all(eval_at(a, dict(zip(names, values)))
-               for values in itertools.product((False, True), repeat=len(names)))
+    return (point_frame(), chain_frame(2), chain_frame(3), fork)
 
 
 def _plausibly_valid(a: Formula) -> bool:
     """Cheap necessary conditions before running the decision procedure."""
-    if not _classically_valid(a):
-        return False
     budget = Budget(max_worlds=4, max_vars=max(3, len(variables(a))))
     return all(frame_valid(f, a, budget) for f in _filter_frames())
 
@@ -540,9 +473,10 @@ def _instances(h: Formula, goal: Formula) -> list[dict[str, Formula]]:
 def derive_from_hypotheses(hypotheses: Sequence[Formula],
                            goal: Formula,
                            budget: SearchBudget = SearchBudget()
-                           ) -> Optional[HilbertDerivation]:
-    """Bounded search for a Hilbert derivation of `goal` from `hypotheses`
-    using the basis, MP, and substitution (of hypotheses and axioms).
+                           ) -> Optional[Inference]:
+    """Bounded search for an all-positive inference of +goal from
+    +hypotheses using the basis, MP, and substitution (of hypotheses and
+    axioms).
 
     Sound always; complete only within the budget, so None never certifies
     underivability.
@@ -556,6 +490,7 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
     if term is not None:
         return _term_to_derivation(term)
 
+    premises = tuple(asserts(h) for h in hypotheses)
     attempts = 0
     per_hyp: list[list[tuple[dict[str, Formula], Formula]]] = []
     for h in hypotheses:
@@ -565,29 +500,26 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
         per_hyp.append(options)
 
     # one substitution instance of one hypothesis
-    for h_index, options in enumerate(per_hyp):
-        h = hypotheses[h_index]
+    for premise, options in zip(premises, per_hyp):
         for subst, instance in options:
             attempts += 1
             if attempts > budget.max_attempts:
                 return None
             if instance == goal:
-                builder = _DerivationBuilder(hypotheses)
-                source = builder.hypothesis(h)
-                builder.conclude(builder.substitute(source, subst))
-                return builder.build()
+                builder = ProofBuilder(premises)
+                source = builder.add(premise, Hypothesis())
+                return builder.conclude(_substitute(builder, source, subst))
             lemma = Implies(instance, goal)
             if not _plausibly_valid(lemma):
                 continue
             term = _Search(budget.prover_fuel).prove([], lemma)
             if term is None:
                 continue
-            builder = _DerivationBuilder(hypotheses)
-            source = builder.hypothesis(h)
-            inst_idx = builder.substitute(source, subst)
-            lemma_idx = builder.replay(_term_to_derivation(term))
-            builder.conclude(builder.mp(lemma_idx, inst_idx))
-            return builder.build()
+            builder = ProofBuilder(premises)
+            source = builder.add(premise, Hypothesis())
+            inst_idx = _substitute(builder, source, subst)
+            lemma_idx = builder.splice(_term_to_derivation(term))
+            return builder.conclude(_mp(builder, lemma_idx, inst_idx))
 
     # two instances, drawn from a reduced pool to stay within budget
     pairs = 0
@@ -606,11 +538,10 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
                     term = _Search(budget.prover_fuel).prove([], lemma)
                     if term is None:
                         continue
-                    builder = _DerivationBuilder(hypotheses)
-                    src_i = builder.substitute(builder.hypothesis(hypotheses[i]), subst_i)
-                    src_j = builder.substitute(builder.hypothesis(hypotheses[j]), subst_j)
-                    lemma_idx = builder.replay(_term_to_derivation(term))
-                    mid = builder.mp(lemma_idx, src_i)
-                    builder.conclude(builder.mp(mid, src_j))
-                    return builder.build()
+                    builder = ProofBuilder(premises)
+                    src_i = _substitute(builder, builder.add(premises[i], Hypothesis()), subst_i)
+                    src_j = _substitute(builder, builder.add(premises[j], Hypothesis()), subst_j)
+                    lemma_idx = builder.splice(_term_to_derivation(term))
+                    mid = _mp(builder, lemma_idx, src_i)
+                    return builder.conclude(_mp(builder, mid, src_j))
     return None

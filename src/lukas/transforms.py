@@ -1,7 +1,6 @@
 """Constructive passes over checked inferences: positive-step extraction,
-Hilbert-to-signed-inference conversion, and the refutation transformer that
-turns a positive derivation of an underivable formula into a refutation of
-one of its hypotheses.
+and the refutation transformer that turns a positive derivation of an
+underivable formula into a refutation of one of its hypotheses.
 
 Every output is pushed back through `check_inference` before it is returned;
 the transformer is never trusted on its own.
@@ -15,11 +14,8 @@ from typing import Callable, Optional
 
 from .formulas import (
     BOT,
-    And,
-    Bottom,
     Formula,
     Implies,
-    Or,
     Var,
     apply_substitution,
     has_box,
@@ -31,21 +27,21 @@ from .kernel import (
     DeductiveSystem,
     Hypothesis,
     Inference,
-    Justification,
     MP,
     MT,
     NS,
     RN,
     RS,
+    ProofBuilder,
     Sb,
     Sign,
-    Statement,
     Step,
     asserts,
     check_inference,
     rejects,
 )
-from .prover import HilbertDerivation, _Search, _term_to_derivation, _plausibly_valid
+from .prover import _Search, _term_to_derivation, _plausibly_valid
+from .semantics import KripkeModel, point_frame, truth_mask
 
 
 class TransformError(ValueError):
@@ -79,55 +75,22 @@ def extract_positive(inf: Inference) -> Inference:
     for old, step in enumerate(inf.steps, start=1):
         if step.statement.sign is not Sign.ASSERT:
             continue
-        just: Justification = step.justification
-        if isinstance(just, MP):
-            just = MP(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, Sb):
-            just = Sb(mapping[just.source], just.mapping)
-        elif isinstance(just, NS):
-            just = NS(mapping[just.source])
-        elif not isinstance(just, (Axiom, Hypothesis)):
+        if not isinstance(step.justification, (Axiom, Hypothesis, MP, Sb, NS)):
             raise TransformError(
                 f"positive step {old} carries a rejection-rule justification")
-        kept.append(Step(step.statement, just))
+        kept.append(Step(step.statement, step.justification.remap(mapping)))
         mapping[old] = len(kept)
     return Inference(inf.hypotheses, tuple(kept))
-
-
-# --- Hilbert conversion ------------------------------------------------------
-
-
-def convert_ipc(derivation: HilbertDerivation, ds: DeductiveSystem) -> Inference:
-    """Map a Hilbert derivation (axioms, hypotheses, MP, substitution) onto a
-    signed inference, rule for rule.  Valid in any system that contains the
-    intuitionistic basis, which every `DeductiveSystem` does."""
-    steps: list[Step] = []
-    for step in derivation.steps:
-        if step.rule == "axiom":
-            just: Justification = Axiom()
-        elif step.rule == "hyp":
-            just = Hypothesis()
-        elif step.rule == "mp":
-            just = MP(step.refs[0], step.refs[1])
-        elif step.rule == "sub":
-            just = Sb(step.refs[0], step.subst)
-        else:
-            raise TransformError(f"unknown Hilbert rule {step.rule!r}")
-        steps.append(Step(asserts(step.formula), just))
-    inf = Inference(tuple(asserts(h) for h in derivation.hypotheses), tuple(steps))
-    report = check_inference(ds, inf)
-    if not report.ok:
-        raise TransformError(f"converted derivation failed checking: {report}")
-    return inf
 
 
 # --- the refutation transformer ----------------------------------------------
 
 _TOP = Implies(BOT, BOT)
+_POINT = point_frame()
 
 
 @lru_cache(maxsize=1)
-def _apply_template() -> HilbertDerivation:
+def _apply_template() -> Inference:
     """Derivation of p -> ((p -> q) -> q)."""
     goal = Implies(Var("p"), Implies(Implies(Var("p"), Var("q")), Var("q")))
     term = _Search(100_000).prove([], goal)
@@ -135,104 +98,12 @@ def _apply_template() -> HilbertDerivation:
     return _term_to_derivation(term)
 
 
-def _classical_value(a: Formula, env: dict[str, bool]) -> bool:
-    if isinstance(a, Var):
-        return env[a.name]
-    if isinstance(a, Bottom):
-        return False
-    if isinstance(a, And):
-        return _classical_value(a.left, env) and _classical_value(a.right, env)
-    if isinstance(a, Or):
-        return _classical_value(a.left, env) or _classical_value(a.right, env)
-    if isinstance(a, Implies):
-        return (not _classical_value(a.left, env)) or _classical_value(a.right, env)
-    raise TypeError(f"not a propositional formula: {a!r}")
-
-
-class _RefutationBuilder:
-    """Accumulates the refutation inference, deduplicating by statement."""
-
-    def __init__(self, ds: DeductiveSystem, hypothesis: Statement):
-        self.ds = ds
-        self.steps: list[Step] = []
-        self.index: dict[Statement, int] = {}
-        self.replayed = 0
-        self.hypothesis = hypothesis
-        self.add(hypothesis, Hypothesis())
-
-    def add(self, statement: Statement, just: Justification) -> int:
-        existing = self.index.get(statement)
-        if existing is not None:
-            return existing
-        self.steps.append(Step(statement, just))
-        n = len(self.steps)
-        self.index[statement] = n
-        return n
-
-    def replay_positive(self, inf: Inference, upto: int) -> int:
-        """Splice the support closure of step `upto` of an all-positive,
-        hypothesis-free (within that support) inference."""
-        support = _support(inf, upto)
-        mapping: dict[int, int] = {}
-        for old in sorted(support):
-            step = inf.steps[old - 1]
-            just = step.justification
-            if isinstance(just, Axiom):
-                new_just: Justification = Axiom()
-            elif isinstance(just, Sb):
-                new_just = Sb(mapping[just.source], just.mapping)
-            elif isinstance(just, MP):
-                new_just = MP(mapping[just.major], mapping[just.minor])
-            elif isinstance(just, NS):
-                new_just = NS(mapping[just.source])
-            else:
-                raise SymmetryDefectError("support contains a hypothesis step")
-            mapping[old] = self.add(step.statement, new_just)
-            self.replayed += 1
-        return mapping[upto]
-
-    def replay_hilbert(self, derivation: HilbertDerivation) -> int:
-        mapping: dict[int, int] = {}
-        for i, step in enumerate(derivation.steps, start=1):
-            if step.rule == "axiom":
-                mapping[i] = self.add(asserts(step.formula), Axiom())
-            elif step.rule == "mp":
-                mapping[i] = self.add(asserts(step.formula),
-                                      MP(mapping[step.refs[0]], mapping[step.refs[1]]))
-            elif step.rule == "sub":
-                mapping[i] = self.add(asserts(step.formula),
-                                      Sb(mapping[step.refs[0]], step.subst))
-            else:
-                raise SymmetryDefectError("lemma derivation uses hypotheses")
-            self.replayed += 1
-        return mapping[len(derivation.steps)]
-
-    def build(self) -> Inference:
-        return Inference((self.hypothesis,), tuple(self.steps))
-
-
-def _support(inf: Inference, target: int) -> set[int]:
-    out: set[int] = set()
-    stack = [target]
-    while stack:
-        i = stack.pop()
-        if i in out:
-            continue
-        out.add(i)
-        just = inf.steps[i - 1].justification
-        if isinstance(just, (MP, MT)):
-            stack.extend((just.major, just.minor))
-        elif isinstance(just, (Sb, RS, NS, RN)):
-            stack.append(just.source)
-    return out
-
-
 def _hypothesis_free(inf: Inference, target: int) -> bool:
     return not any(isinstance(inf.steps[i - 1].justification, Hypothesis)
-                   for i in _support(inf, target))
+                   for i in inf.support(target))
 
 
-def _prove_lemma(lemma: Formula, fuel: int = 80_000) -> Optional[HilbertDerivation]:
+def _prove_lemma(lemma: Formula, fuel: int = 80_000) -> Optional[Inference]:
     if has_box(lemma):
         return None
     if not _plausibly_valid(lemma):
@@ -271,16 +142,17 @@ def symmetry_transform(ds: DeductiveSystem,
         raise OracleInconsistencyError(
             f"oracle derives the conclusion {render(conclusion)}")
 
-    builder = _RefutationBuilder(ds, rejects(conclusion))
+    builder = ProofBuilder((rejects(conclusion),))
+    builder.add(rejects(conclusion), Hypothesis())
 
-    def replay_derivable(target_index: int, formula: Formula) -> int:
+    def splice_derivable(target_index: int, formula: Formula) -> int:
         if _hypothesis_free(inf, target_index):
-            return builder.replay_positive(inf, target_index)
+            return builder.splice(inf, target_index)
         if prove_positive is not None:
             supplied = prove_positive(formula)
             if supplied is not None:
                 _validate_supplied(ds, supplied, formula)
-                return _splice_inference(builder, supplied)
+                return builder.splice(supplied)
         raise SymmetryDefectError(
             f"no hypothesis-free derivation available for {render(formula)}")
 
@@ -314,7 +186,7 @@ def symmetry_transform(ds: DeductiveSystem,
                 if derivable(minor):
                     raise OracleInconsistencyError(
                         "oracle derives both premises of an underivable conclusion")
-                major_index = replay_derivable(just.major, major)
+                major_index = splice_derivable(just.major, major)
                 rejected = builder.add(rejects(minor), MT(major_index, rejected_index))
                 return recurse(just.minor, rejected)
             return _transfer(target_index, rejected_index, just, major, minor, formula)
@@ -332,7 +204,7 @@ def symmetry_transform(ds: DeductiveSystem,
             lemma = _prove_lemma(Implies(instance, formula))
             if lemma is None:
                 return None
-            lemma_index = builder.replay_hilbert(lemma)
+            lemma_index = builder.splice(lemma)
             rejected_instance = builder.add(
                 rejects(instance), MT(lemma_index, rejected_index))
             if instance == lemma_target:
@@ -346,13 +218,14 @@ def symmetry_transform(ds: DeductiveSystem,
             outcome = reject_via_lemma(major, {}, just.major)
             if outcome is not None:
                 return outcome
-            # boolean substitutions: refute the minor or the major classically
+            # boolean substitutions: refute the minor or the major classically,
+            # one valuation (a one-world model) at a time
             names = sorted(variables(major))
             if len(names) <= 10:
-                for values in itertools.product((False, True), repeat=len(names)):
-                    env = dict(zip(names, values))
-                    subst = {n: (_TOP if v else BOT) for n, v in env.items()}
-                    if not _classical_value(minor, env):
+                for values in itertools.product((0, 1), repeat=len(names)):
+                    point = KripkeModel(_POINT, tuple(zip(names, values)))
+                    subst = {n: (_TOP if v else BOT) for n, v in zip(names, values)}
+                    if not truth_mask(point, minor):
                         if derivable(minor):
                             raise OracleInconsistencyError(
                                 "oracle derives a classically refutable formula")
@@ -360,7 +233,7 @@ def symmetry_transform(ds: DeductiveSystem,
                             minor, {n: subst[n] for n in variables(minor)}, just.minor)
                         if outcome is not None:
                             return outcome
-                    elif not _classical_value(formula, env):
+                    elif not truth_mask(point, formula):
                         outcome = reject_via_lemma(major, subst, just.major)
                         if outcome is not None:
                             return outcome
@@ -376,12 +249,11 @@ def symmetry_transform(ds: DeductiveSystem,
                 return outcome
         # internalised modus ponens from a derivable minor
         if derivable(minor):
-            minor_index = replay_derivable(just.minor, minor)
-            template_index = builder.replay_hilbert(_apply_template())
+            minor_index = splice_derivable(just.minor, minor)
+            template_index = builder.splice(_apply_template())
             instance = Implies(minor, Implies(major, formula))
             inst_index = builder.add(
-                asserts(instance),
-                Sb(template_index, tuple(sorted({"p": minor, "q": formula}.items()))))
+                asserts(instance), Sb.of(template_index, {"p": minor, "q": formula}))
             peeled = builder.add(asserts(Implies(major, formula)),
                                  MP(inst_index, minor_index))
             rejected = builder.add(rejects(major), MT(peeled, rejected_index))
@@ -391,12 +263,7 @@ def symmetry_transform(ds: DeductiveSystem,
 
     hypothesis_index = recurse(len(inf.steps), 1)
     target = rejects(inf.hypotheses[hypothesis_index - 1].formula)
-    if builder.steps[-1].statement != target:
-        # recursion may have ended on a deduplicated step; re-point by a
-        # final repetition through RS with the identity match
-        last = builder.index[target]
-        builder.steps.append(Step(target, RS(last)))
-    result = builder.build()
+    result = builder.conclude(builder.index[target])
     report = check_inference(ds, result)
     if not report.ok:
         raise SymmetryDefectError(f"constructed refutation fails checking: {report}")
@@ -414,21 +281,3 @@ def _validate_supplied(ds: DeductiveSystem, supplied: Inference, formula: Formul
     if not report.ok:
         raise SymmetryDefectError(f"supplied derivation fails checking: {report}")
 
-
-def _splice_inference(builder: _RefutationBuilder, supplied: Inference) -> int:
-    mapping: dict[int, int] = {}
-    for old, step in enumerate(supplied.steps, start=1):
-        just = step.justification
-        if isinstance(just, Axiom):
-            new_just: Justification = Axiom()
-        elif isinstance(just, Sb):
-            new_just = Sb(mapping[just.source], just.mapping)
-        elif isinstance(just, MP):
-            new_just = MP(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, NS):
-            new_just = NS(mapping[just.source])
-        else:
-            raise SymmetryDefectError("supplied derivation uses rejection rules")
-        mapping[old] = builder.add(step.statement, new_just)
-        builder.replayed += 1
-    return mapping[len(supplied.steps)]

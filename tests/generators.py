@@ -1,17 +1,21 @@
 """Seeded random generators shared by the fuzz tests and the acceptance
 suite: random formulas, random mixed-sign inferences built forward through
 `apply_rule`, and positive hypothesis-rooted inferences shaped so that the
-refutation transformer is applicable.
+refutation transformer is applicable.  Also a truth-table evaluator that
+does not go through `lukas.semantics`, as an independent classical
+reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Optional, Sequence
 
 from lukas.formulas import (
     BOT,
     And,
+    Bottom,
     Formula,
     Implies,
     Mode,
@@ -40,7 +44,28 @@ from lukas.kernel import (
     asserts,
     rejects,
 )
-from lukas.transforms import _classical_value, _support
+
+
+def classical_value(a: Formula, env: dict[str, bool]) -> bool:
+    """Truth value of a box-free formula under a boolean valuation."""
+    if isinstance(a, Var):
+        return env[a.name]
+    if isinstance(a, Bottom):
+        return False
+    if isinstance(a, And):
+        return classical_value(a.left, env) and classical_value(a.right, env)
+    if isinstance(a, Or):
+        return classical_value(a.left, env) or classical_value(a.right, env)
+    if isinstance(a, Implies):
+        return (not classical_value(a.left, env)) or classical_value(a.right, env)
+    raise TypeError(f"not a propositional formula: {a!r}")
+
+
+def tautology(a: Formula) -> bool:
+    """Whether `a` is true under every boolean valuation of its variables."""
+    names = sorted(variables(a))
+    return all(classical_value(a, dict(zip(names, values)))
+               for values in itertools.product((False, True), repeat=len(names)))
 
 
 def random_formula(rng: random.Random, names: Sequence[str] = ("p", "q"),
@@ -192,23 +217,11 @@ def random_mixed_inference(rng: random.Random,
 
 def _compact_support(inf: Inference, target: int) -> Inference:
     """Restrict an inference to the support closure of one step."""
-    keep = sorted(_support(inf, target))
     mapping: dict[int, int] = {}
     steps: list[Step] = []
-    for old in keep:
+    for old in sorted(inf.support(target)):
         step = inf.steps[old - 1]
-        just = step.justification
-        if isinstance(just, MP):
-            just = MP(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, MT):
-            just = MT(mapping[just.major], mapping[just.minor])
-        elif isinstance(just, Sb):
-            just = Sb(mapping[just.source], just.mapping)
-        elif isinstance(just, (RS,)):
-            just = RS(mapping[just.source])
-        elif isinstance(just, NS):
-            just = NS(mapping[just.source])
-        steps.append(Step(step.statement, just))
+        steps.append(Step(step.statement, step.justification.remap(mapping)))
         mapping[old] = len(steps)
     return Inference(inf.hypotheses, tuple(steps))
 
@@ -328,14 +341,13 @@ def _transferable(major: Formula, oracle: Callable[[Formula], bool]) -> bool:
     if has_box(major):
         return False
     assert isinstance(major, Implies)
-    import itertools
     names = sorted(variables(major))
     minor_refutable = False
     rhs_refutable = False
     for values in itertools.product((False, True), repeat=len(names)):
         env = dict(zip(names, values))
-        if not _classical_value(major.left, env):
+        if not classical_value(major.left, env):
             minor_refutable = True
-        elif not _classical_value(major.right, env):
+        elif not classical_value(major.right, env):
             rhs_refutable = True
     return minor_refutable or rhs_refutable

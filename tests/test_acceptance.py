@@ -4,11 +4,10 @@ to see the lines as they complete."""
 
 import contextlib
 import io
-import itertools
 import random
 import time
 
-from generators import random_formula, random_mixed_inference, random_refutable_instance
+from generators import random_formula, random_mixed_inference, random_refutable_instance, tautology
 from lukas.cli import main as cli_main
 from lukas.complete_sets import (
     RefutationPreconditionError,
@@ -20,7 +19,7 @@ from lukas.complete_sets import (
     jankov_formula,
     render_manifest,
 )
-from lukas.formulas import Mode, parse_formula, render, variables
+from lukas.formulas import Mode, parse_formula, render
 from lukas.kernel import NS, RN, Sign, check_inference, rejects, render_proof_script, system
 from lukas.semantics import (
     Budget,
@@ -35,7 +34,7 @@ from lukas.semantics import (
     point_frame,
     tabular_oracle,
 )
-from lukas.transforms import _classical_value, extract_positive, symmetry_transform
+from lukas.transforms import extract_positive, symmetry_transform
 
 WIDE = Budget(max_worlds=8, max_vars=8)
 
@@ -210,11 +209,10 @@ CLASSICAL_ONLY = [
 
 
 def test_criterion_5_prover_regression():
-    """30 theorems proved and round-tripped through conversion and checking;
+    """30 theorems proved and their inferences checked;
     10 classical-only formulas get verified countermodels of at most 5
     worlds; under 60 s total."""
     from lukas.prover import prove_ipc
-    from lukas.transforms import convert_ipc
     ds = system(Mode.INT)
     assert len(THEOREMS) == 30 and len(CLASSICAL_ONLY) == 10
     start = time.monotonic()
@@ -222,8 +220,7 @@ def test_criterion_5_prover_regression():
         f = parse_formula(text)
         result = prove_ipc(f)
         assert result.proved, text
-        inf = convert_ipc(result.derivation, ds)
-        report = check_inference(ds, inf)
+        report = check_inference(ds, result.derivation)
         assert report.ok and report.conclusion.formula == f, text
     for text in CLASSICAL_ONLY:
         f = parse_formula(text)
@@ -276,13 +273,10 @@ def test_criterion_6_standardness_at_desk_scale(tmp_path):
     split_errors = 0
     check_errors = 0
     for f in corpus:
-        names = sorted(variables(f))
-        tautology = all(
-            _classical_value(f, dict(zip(names, values)))
-            for values in itertools.product((False, True), repeat=len(names)))
+        classical = tautology(f)
         positive = lambda: build_positive_cpc(f)                     # noqa: E731
         negative = lambda: build_refutation(ds, f, oracle, family)   # noqa: E731
-        expected, other = (positive, negative) if tautology else (negative, positive)
+        expected, other = (positive, negative) if classical else (negative, positive)
         try:
             inf = expected()
         except RefutationPreconditionError:
@@ -291,7 +285,7 @@ def test_criterion_6_standardness_at_desk_scale(tmp_path):
             split_errors += 1
         if inf is None:
             continue
-        expected = ("+ " if tautology else "- ") + render(f)
+        expected = ("+ " if classical else "- ") + render(f)
         proof_path.write_text(render_proof_script(Mode.INT, inf))
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):

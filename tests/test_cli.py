@@ -176,6 +176,29 @@ def test_usage_error_exit_code(workdir, capsys):
     assert main(["check", str(workdir / "missing.proof")]) == 2
 
 
+@pytest.mark.parametrize("directive", ["mode", "bound", "frame"])
+def test_manifest_directive_without_value_is_a_parse_error(workdir, capsys, directive):
+    lines = {"mode": "mode int", "bound": "bound 3", "frame": "frame 1 0-0"}
+    lines[directive] = directive
+    (workdir / "bare.ds").write_text("\n".join(lines.values()) + "\n")
+    assert main(["check", str(workdir / "ok.proof"), "--system", str(workdir / "bare.ds")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(directive) in err
+
+
+def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
+    (workdir / "hyp.proof").write_text("mode int\nhyp +\n1 + p ; hyp\n")
+    assert main(["check", str(workdir / "hyp.proof")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: hyp needs a sign and a formula")
+
+
+def test_removed_global_flags_are_usage_errors(workdir, capsys):
+    for flag, value in (("--mode", "int"), ("--seed", "0"), ("--bound", "3")):
+        assert main([flag, value, "ipc", "p -> p"]) == 2
+    capsys.readouterr()
+
+
 def test_bound_flag_after_subcommand(workdir, capsys):
     code, out = run(capsys, "axiomatize",
                     "--frames", str(workdir / "chain2.frame"), "--bound", "2")

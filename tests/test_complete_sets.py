@@ -1,9 +1,8 @@
-import itertools
 import random
 
 import pytest
 
-from generators import random_formula
+from generators import random_formula, tautology
 from lukas.complete_sets import (
     FamilyEntry,
     RefutationPreconditionError,
@@ -29,7 +28,6 @@ from lukas.semantics import (
     point_frame,
     tabular_oracle,
 )
-from lukas.transforms import _classical_value
 
 WIDE = Budget(max_worlds=8, max_vars=8)
 
@@ -150,10 +148,7 @@ def test_standardness_sample(cpc):
     rng = random.Random(6)
     for _ in range(60):
         f = random_formula(rng, ("p", "q"), depth=3)
-        names = sorted(variables(f))
-        classical = all(
-            _classical_value(f, dict(zip(names, values)))
-            for values in itertools.product((False, True), repeat=len(names)))
+        classical = tautology(f)
         if classical:
             inf = build_positive_cpc(f)
             assert check_inference(ds, inf).ok

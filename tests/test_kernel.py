@@ -5,17 +5,19 @@ import pytest
 from generators import random_mixed_inference
 from lukas.formulas import Box, Mode, Var, parse_formula, render
 from lukas.kernel import (
+    IPC_AXIOMS,
     Axiom,
     Hypothesis,
     Inference,
     MP,
+    ProofBuilder,
     RS,
     RuleError,
+    Sb,
     Step,
     apply_rule,
     asserts,
     check_inference,
-    ipc_axioms,
     parse_proof_script,
     rejects,
     render_proof_script,
@@ -28,7 +30,7 @@ K4 = system(Mode.K4)
 
 
 def test_ipc_axioms_fixed_points():
-    axioms = ipc_axioms()
+    axioms = IPC_AXIOMS
     assert len(axioms) == 10
     assert axioms[0] == parse_formula("p -> (q -> p)")
     assert parse_formula("bot -> p") in axioms
@@ -36,7 +38,7 @@ def test_ipc_axioms_fixed_points():
 
 def test_ipc_axioms_are_theorems():
     from lukas.prover import decide_ipc
-    for axiom in ipc_axioms():
+    for axiom in IPC_AXIOMS:
         assert decide_ipc(axiom) is not None, render(axiom)
 
 
@@ -209,3 +211,58 @@ def test_random_scripts_round_trip():
         assert parsed_mode is mode
         assert parsed == inf
         assert render_proof_script(parsed_mode, parsed) == text
+
+
+def test_foreign_justification_is_unknown():
+    inf = Inference((), (Step(asserts(Var("p")), "ax"),))
+    assert str(check_inference(INT, inf)) == "ERR 1 unknown-justification"
+
+
+def test_conclude_repeats_a_mid_list_conclusion():
+    weaken = parse_formula("p -> (q -> p)")
+    builder = ProofBuilder()
+    axiom = builder.add(asserts(weaken), Axiom())
+    builder.add(asserts(parse_formula("a -> (b -> a)")),
+                Sb.of(axiom, {"p": Var("a"), "q": Var("b")}))
+    inf = builder.conclude(axiom)
+    assert render_proof_script(Mode.INT, inf).splitlines()[-1] == "3 + p -> q -> p ; sb 1 { }"
+    assert check_inference(INT, inf).conclusion == asserts(weaken)
+
+    hyp = rejects(parse_formula("a -> (b -> a)"))
+    builder = ProofBuilder((hyp,))
+    first = builder.add(hyp, Hypothesis())
+    assert builder.add(hyp, Hypothesis()) == first
+    builder.add(rejects(weaken), RS(first))
+    inf = builder.conclude(first)
+    assert render_proof_script(Mode.INT, inf).splitlines()[-1] == "3 - a -> b -> a ; rs 1"
+    assert check_inference(INT, inf).conclusion == hyp
+    # a conclusion already in last place is not repeated
+    assert len(builder.conclude(len(builder.steps))) == 3
+
+
+def test_splice_copies_the_support_of_upto_or_every_step():
+    inf = _mp_example()             # 1 ax, 2 hyp, 3 mp 1 2
+    dead = Inference(inf.hypotheses, inf.steps + (
+        Step(asserts(parse_formula("a -> (b -> a)")),
+             Sb.of(1, {"p": Var("a"), "q": Var("b")})),))
+    builder = ProofBuilder()
+    assert builder.splice(dead, upto=4) == 2
+    assert [s.justification for s in builder.steps] == [
+        Axiom(), Sb.of(1, {"p": Var("a"), "q": Var("b")})]
+    assert not any(isinstance(s.justification, Hypothesis) for s in builder.steps)
+    assert dead.support(4) == {1, 4}
+
+    builder = ProofBuilder(inf.hypotheses)
+    assert builder.splice(dead) == 4
+    assert builder.steps == list(dead.steps)
+    # spliced again, every statement is already there
+    assert builder.splice(dead) == 4 and len(builder.steps) == 4
+
+
+def test_remap_repoints_every_reference():
+    mapping = {1: 5, 2: 7}
+    assert MP(1, 2).remap(mapping) == MP(5, 7)
+    assert RS(2).remap(mapping) == RS(7)
+    assert Sb(1, (("p", Var("q")),)).remap(mapping) == Sb(5, (("p", Var("q")),))
+    assert Axiom().remap(mapping) == Axiom() and Axiom().refs() == ()
+    assert MP(1, 2).refs() == (1, 2) and RS(2).refs() == (2,)

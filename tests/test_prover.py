@@ -1,9 +1,8 @@
 import pytest
 
 from lukas.formulas import Mode, parse_formula, render
-from lukas.kernel import check_inference, rejects, system
+from lukas.kernel import asserts, check_inference, rejects, system
 from lukas.prover import (
-    HilbertDerivation,
     SearchBudget,
     countermodel_search,
     decide_ipc,
@@ -11,7 +10,6 @@ from lukas.prover import (
     prove_ipc,
 )
 from lukas.semantics import enumerate_rooted_posets, frame_valid, model_validates, Budget
-from lukas.transforms import convert_ipc
 
 INT = system(Mode.INT)
 
@@ -62,18 +60,13 @@ CLASSICAL_ONLY = [
 ]
 
 
-def _hilbert_ok(derivation: HilbertDerivation) -> bool:
-    inf = convert_ipc(derivation, INT)
-    return check_inference(INT, inf).ok
-
-
 @pytest.mark.parametrize("text", THEOREMS)
 def test_theorems_prove_and_check(text):
     f = parse_formula(text)
     result = prove_ipc(f)
     assert result.proved, text
-    assert result.derivation.conclusion == f
-    assert _hilbert_ok(result.derivation)
+    assert result.derivation.conclusion == asserts(f)
+    assert check_inference(INT, result.derivation).ok
 
 
 @pytest.mark.parametrize("text", CLASSICAL_ONLY)
@@ -109,7 +102,7 @@ def test_derive_from_hypotheses_direct():
     p, goal = parse_formula("p"), parse_formula("q -> p")
     derivation = derive_from_hypotheses([p], goal)
     assert derivation is not None
-    assert derivation.conclusion == goal
+    assert derivation.conclusion == asserts(goal)
     assert _inference_from(derivation, [p])
 
 
@@ -118,11 +111,11 @@ def test_derive_from_hypotheses_needs_substitution():
     goal = parse_formula("q | ~q")
     derivation = derive_from_hypotheses([hyp], goal)
     assert derivation is not None
-    assert derivation.conclusion == goal
+    assert derivation.conclusion == asserts(goal)
     assert _inference_from(derivation, [hyp])
     # the substituted stability instance appears along the way
     instance = parse_formula("~~(q | ~q) -> (q | ~q)")
-    assert any(step.formula == instance for step in derivation.steps)
+    assert any(step.statement == asserts(instance) for step in derivation.steps)
 
 
 def test_derive_from_hypotheses_gives_up_on_underivable():
@@ -130,8 +123,7 @@ def test_derive_from_hypotheses_gives_up_on_underivable():
     assert derive_from_hypotheses([], goal, SearchBudget(max_attempts=200)) is None
 
 
-def _inference_from(derivation, hypotheses):
-    inf = convert_ipc(derivation, INT)
+def _inference_from(inf, hypotheses):
     report = check_inference(INT, inf)
     assert report.ok
     assert set(h.formula for h in inf.hypotheses) == set(hypotheses)

@@ -29,7 +29,6 @@ from lukas.semantics import (
 from lukas.transforms import (
     OracleInconsistencyError,
     TransformError,
-    convert_ipc,
     extract_positive,
     symmetry_transform,
 )
@@ -101,28 +100,26 @@ def test_extract_positive_fuzz_and_idempotence():
         assert extract_positive(extracted) == extracted
 
 
-def test_convert_ipc_simple_and_substituted():
-    derivation = derive_from_hypotheses([Var("p")], parse_formula("q -> p"))
-    inf = convert_ipc(derivation, INT)
+def test_derived_inference_simple_and_substituted():
+    inf = derive_from_hypotheses([Var("p")], parse_formula("q -> p"))
     report = check_inference(INT, inf)
     assert report.ok
     assert str(report.conclusion) == "+ q -> p"
 
     hyp = parse_formula("~~p -> p")
-    derivation = derive_from_hypotheses([hyp], parse_formula("q | ~q"))
-    inf = convert_ipc(derivation, INT)
+    inf = derive_from_hypotheses([hyp], parse_formula("q | ~q"))
     assert check_inference(INT, inf).ok
     assert all(s.statement.sign is Sign.ASSERT for s in inf.steps)
 
 
-def test_convert_ipc_prover_pipeline():
+def test_prover_inference_pipeline():
     from lukas.prover import prove_ipc
     corpus = ["p -> p", "~~(p | ~p)", "(p -> q) -> (~q -> ~p)",
               "p & q -> q & p", "p | q -> q | p", "~~~p -> ~p"]
     for text in corpus:
         f = parse_formula(text)
         result = prove_ipc(f)
-        inf = convert_ipc(result.derivation, INT)
+        inf = result.derivation
         report = check_inference(INT, inf)
         assert report.ok
         assert report.conclusion == asserts(f)
@@ -163,8 +160,7 @@ def test_symmetry_substitution_pipeline_example():
     oracle = tabular_oracle(frames, WIDE)
     hyp = parse_formula("~~p -> p")
     goal = parse_formula("q | ~q")
-    derivation = derive_from_hypotheses([hyp], goal)
-    positive = convert_ipc(derivation, INT)
+    positive = derive_from_hypotheses([hyp], goal)
     index, ref = symmetry_transform(INT, positive, oracle)
     assert index == 1
     report = check_inference(INT, ref)
