@@ -215,7 +215,9 @@ def test_resource_bound_exit_code(workdir, capsys):
 #: sha256 of the standard output of each command, pinned so that a
 #: refactor cannot change an emitted proof script or model by a byte.
 #: `{frame}` is a one-point frame file, `{system}` the manifest that the
-#: `axiomatize` line writes for it.
+#: `axiomatize` line writes for it.  `{k4proof}` derives +[]q from a K4
+#: hypothesis by modus ponens with a derivable minor, and `{k4frame}` is a
+#: reflexive point on which that hypothesis fails.
 GOLDEN_DIGESTS = [
     (("prove-cpc", "(p -> p) & (q | (q -> p))"),
      "3dbe5e17b61fb80dcdc67ba34df21bcf064bf891bf8f00b6af4d8566fc63cc3d"),
@@ -233,6 +235,10 @@ GOLDEN_DIGESTS = [
      "73783167b870d74e48c529e2f69a82566fcdbea8043cb28d183687dfb24e92b9"),
     (("ipc", "~~(p | ~p)"),
      "f7d483c56b9a9da6a4e64dec86181983e1cdd3b38b29392af7cfc8241847fc20"),
+    (("transform", "symmetry", "{k4proof}", "--frames", "{k4frame}"),
+     "663ee54e95463b34066543eb5280cac9a5e6de6c0633dca4a9e96d1e3174efba"),
+    (("prove-cpc", "(p -> q) -> (~q -> ~p)"),
+     "f3c8b009cd66428d8220e9826e8b3c167acf367daea73606c7d8b8d570b08f61"),
 ]
 
 
@@ -240,8 +246,17 @@ def test_golden_output_digests(workdir, capsys):
     import hashlib
     frame, system = workdir / "point.frame", workdir / "point.ds"
     frame.write_text("mode int\nworlds 1\n")
+    k4proof, k4frame = workdir / "k4.proof", workdir / "k4.frame"
+    k4proof.write_text(
+        "mode k4\n"
+        "hyp + (p -> (q -> p)) -> []q\n"
+        "1 + (p -> (q -> p)) -> []q ; hyp\n"
+        "2 + p -> (q -> p) ; ax\n"
+        "3 + []q ; mp 1 2\n")
+    k4frame.write_text("mode k4\nworlds 1\nrel 0 0\n")
     for argv, digest in GOLDEN_DIGESTS:
-        argv = [a.format(frame=frame, system=system) for a in argv]
+        argv = [a.format(frame=frame, system=system, k4proof=k4proof, k4frame=k4frame)
+                for a in argv]
         code, out = run(capsys, *argv)
         if argv[0] == "axiomatize":
             system.write_text(out)

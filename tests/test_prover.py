@@ -118,6 +118,11 @@ def test_derive_from_hypotheses_needs_substitution():
     assert any(step.statement == asserts(instance) for step in derivation.steps)
 
 
+def test_derive_from_hypotheses_tries_the_goal_first():
+    p, goal = parse_formula("p"), parse_formula("q -> q")
+    assert derive_from_hypotheses([p], goal) == prove_ipc(goal).derivation
+
+
 def test_derive_from_hypotheses_gives_up_on_underivable():
     goal = parse_formula("~~p -> p")
     assert derive_from_hypotheses([], goal, SearchBudget(max_attempts=200)) is None
