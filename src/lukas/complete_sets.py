@@ -43,7 +43,7 @@ from .kernel import (
     rejects,
     system,
 )
-from .prover import SearchBudget, _Search, _term_to_derivation, derive_from_hypotheses
+from .prover import derive, derive_from_hypotheses
 from .semantics import (
     Budget,
     Frame,
@@ -168,8 +168,7 @@ def build_system(oracle: Callable[[Formula], bool],
 def build_refutation(ds: DeductiveSystem,
                      a: Formula,
                      oracle: Callable[[Formula], bool],
-                     family: Sequence[FamilyEntry],
-                     search_budget: SearchBudget = SearchBudget()) -> Inference:
+                     family: Sequence[FamilyEntry]) -> Inference:
     """Produce a checked inference of -a with no hypotheses.
 
     Searches the family for a rejected formula C with a positive inference
@@ -184,7 +183,7 @@ def build_refutation(ds: DeductiveSystem,
             continue
         if not ds.is_anti_axiom(entry.formula):
             continue
-        positive = derive_from_hypotheses([a], entry.formula, search_budget)
+        positive = derive_from_hypotheses([a], entry.formula)
         if positive is None:
             continue
         index, refutation = symmetry_transform(ds, positive, oracle)
@@ -209,15 +208,17 @@ def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inf
 # --- the classical system ----------------------------------------------------
 
 _CPC_BOUND = 3
+#: Enumeration budget of the classical and the manifest oracles.
+_ORACLE_BUDGET = Budget(max_worlds=8, max_vars=8)
 
 
-@lru_cache(maxsize=None)
-def cpc_context(bound: int = _CPC_BOUND):
+@lru_cache(maxsize=1)
+def cpc_context():
     """The classical-logic deductive system over the Jankov family, its
     one-point oracle, and the checker-verified stability template."""
     frame = point_frame()
-    oracle = tabular_oracle([frame], Budget(max_worlds=8, max_vars=8))
-    family = jankov_family(bound)
+    oracle = tabular_oracle([frame], _ORACLE_BUDGET)
+    family = jankov_family(_CPC_BOUND)
     ds = build_system(oracle, family)
     template = _stability_template(ds, family)
     return ds, oracle, family, frame, template
@@ -236,15 +237,14 @@ def _stability_template(ds: DeductiveSystem,
     subst = {f"x{i}": (p if i == root else neg(p)) for i in range(2)}
     instance = apply_substitution(subst, two_chain.formula)
     target = parse_formula("~~p -> p")
-    lemma = Implies(instance, target)
-    term = _Search(400_000).prove([], lemma)
-    if term is None:
+    lemma = derive(Implies(instance, target))
+    if lemma is None:
         raise TemplateUnavailableError(
             "stability lemma is not intuitionistically derivable")
     builder = ProofBuilder()
     axiom = builder.add(asserts(two_chain.formula), Axiom())
     premise = builder.add(asserts(instance), Sb.of(axiom, subst))
-    lemma_index = builder.splice(_term_to_derivation(term))
+    lemma_index = builder.splice(lemma)
     template = builder.conclude(builder.add(asserts(target), MP(lemma_index, premise)))
     report = check_inference(ds, template)
     if not report.ok:
@@ -252,31 +252,29 @@ def _stability_template(ds: DeductiveSystem,
     return template
 
 
-def build_positive_cpc(a: Formula, bound: int = _CPC_BOUND) -> Inference:
+def build_positive_cpc(a: Formula) -> Inference:
     """A checked hypothesis-free inference of +a in the classical system,
     for classically valid `a`: prove ~~a intuitionistically, instantiate the
     stability template to ~~a -> a, and close with modus ponens."""
-    ds, oracle, _family, _frame, template = cpc_context(bound)
+    ds, oracle, _family, _frame, template = cpc_context()
     if not oracle(a):
         raise RefutationPreconditionError(
             f"{render(a)} is not classically valid")
-    doubled = neg(neg(a))
-    term = _Search(400_000).prove([], a)
-    if term is None:
-        term = _Search(400_000).prove([], doubled)
-        if term is None:
+    inf = derive(a)
+    if inf is None:
+        doubled = neg(neg(a))
+        derived = derive(doubled)
+        if derived is None:
             raise TemplateUnavailableError(
                 f"double negation of {render(a)} did not prove; prover defect")
         # the derivation of ~~a goes in verbatim, its closing repeat included
-        builder = ProofBuilder((), _term_to_derivation(term).steps)
+        builder = ProofBuilder((), derived.steps)
         stability = builder.splice(template)
         instance = builder.add(asserts(Implies(doubled, a)), Sb.of(stability, {"p": a}))
         # +a closes by modus ponens even when the template already holds it
         # (a is the two-chain axiom or its instance)
         closing = Step(asserts(a), MP(instance, builder.index[asserts(doubled)]))
         inf = Inference((), (*builder.steps, closing))
-    else:
-        inf = _term_to_derivation(term)
     report = check_inference(ds, inf)
     if not report.ok:
         raise TemplateUnavailableError(f"positive proof fails checking: {report}")
@@ -343,11 +341,10 @@ def parse_manifest(text: str) -> Manifest:
     return Manifest(mode, tuple(frames), bound, tuple(marks))
 
 
-def manifest_context(manifest: Manifest, budget: Optional[Budget] = None):
+def manifest_context(manifest: Manifest):
     """Rebuild oracle, family, and system from a manifest, verifying the
     recorded signs against the oracle."""
-    oracle = tabular_oracle(list(manifest.frames),
-                            budget or Budget(max_worlds=8, max_vars=8))
+    oracle = tabular_oracle(list(manifest.frames), _ORACLE_BUDGET)
     family = jankov_family(manifest.bound)
     ds = build_system(oracle, family, manifest.mode)
     recorded = {render(f): sign for sign, f in manifest.marks}

@@ -9,6 +9,9 @@ an all-positive kernel `Inference` of axioms, MP and substitution steps.
 A failed run is backed by an independent semantic countermodel
 search over small rooted posets, so the two outcomes never rest on the same
 code path.
+
+`derive` is the one way into the search, and every sequent search runs on
+the one fuel `_FUEL`; `derive_lemma` filters speculative lemmas first.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .formulas import (
     Var,
     apply_substitution,
     check_mode,
+    has_box,
     match_instance,
     render,
     subformulas,
@@ -59,6 +63,9 @@ from .semantics import (
     frame_valid,
     point_frame,
 )
+
+#: `_Search.prove` calls one search may make before `ResourceBoundError`.
+_FUEL = 400_000
 
 # axiom indices in the fixed basis (0-based)
 _K_AX = 0
@@ -388,37 +395,43 @@ _COUNTERMODEL_BUDGET = Budget(max_worlds=5, max_vars=4)
 _INT = system(Mode.INT)
 
 
-def decide_ipc(a: Formula, fuel: int = 200_000) -> Optional[Term]:
-    """Raw search verdict: a closed proof term, or None."""
+def derive(a: Formula) -> Optional[Inference]:
+    """The all-positive, hypothesis-free inference of +a that the sequent
+    search finds, or None when the search refutes `a`."""
     check_mode(a, Mode.INT)
-    return _Search(fuel).prove([], a)
+    term = _Search(_FUEL).prove([], a)
+    return None if term is None else _term_to_derivation(term)
 
 
-def countermodel_search(a: Formula, max_worlds: int = 5) -> Optional[KripkeModel]:
+def derive_lemma(a: Formula) -> Optional[Inference]:
+    """`derive` for a speculative lemma: None without a search when `a` is
+    boxed or fails on one of the small filter frames."""
+    if has_box(a) or not _plausibly_valid(a):
+        return None
+    return derive(a)
+
+
+def countermodel_search(a: Formula) -> Optional[KripkeModel]:
     """Smallest rooted poset model refuting `a`, or None within the bound."""
     check_mode(a, Mode.INT)
-    if len(variables(a)) > _COUNTERMODEL_BUDGET.max_vars:
-        raise ResourceBoundError("too many variables for countermodel search")
-    for frame in enumerate_rooted_posets(max_worlds):
+    for frame in enumerate_rooted_posets(_COUNTERMODEL_BUDGET.max_worlds):
         model = falsifying_model(frame, a, _COUNTERMODEL_BUDGET)
         if model is not None:
             return model
     return None
 
 
-def prove_ipc(a: Formula, fuel: int = 200_000) -> ProofResult:
+def prove_ipc(a: Formula) -> ProofResult:
     """Decide `a` over the intuitionistic basis.
 
     Returns a checked inference of +a on success, otherwise a finite
     countermodel found by independent semantic search.  If neither
     materialises the two engines disagree and we refuse to guess.
     """
-    term = decide_ipc(a, fuel)
-    if term is not None:
-        assert term.type == a
-        inf = _term_to_derivation(term)
+    inf = derive(a)
+    if inf is not None:
         report = check_inference(_INT, inf)
-        if not report.ok:
+        if not report.ok or report.conclusion != asserts(a):
             raise ValueError(f"elaborated derivation fails checking: {report}")
         return ProofResult(derivation=inf)
     model = countermodel_search(a)
@@ -432,12 +445,9 @@ def prove_ipc(a: Formula, fuel: int = 200_000) -> ProofResult:
 # --- bounded search from hypotheses ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_attempts: int = 4000
-    prover_fuel: int = 60_000
-    max_pairs: int = 200
-
+#: Hypothesis instances, and pairs of them, tried before giving up.
+_MAX_ATTEMPTS = 4000
+_MAX_PAIRS = 200
 
 _TOP = Implies(BOT, BOT)
 
@@ -471,14 +481,12 @@ def _instances(h: Formula, goal: Formula) -> list[dict[str, Formula]]:
 
 
 def derive_from_hypotheses(hypotheses: Sequence[Formula],
-                           goal: Formula,
-                           budget: SearchBudget = SearchBudget()
-                           ) -> Optional[Inference]:
+                           goal: Formula) -> Optional[Inference]:
     """Bounded search for an all-positive inference of +goal from
     +hypotheses using the basis, MP, and substitution (of hypotheses and
     axioms).
 
-    Sound always; complete only within the budget, so None never certifies
+    Sound always; complete only within its bounds, so None never certifies
     underivability.
     """
     check_mode(goal, Mode.INT)
@@ -486,9 +494,9 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
         check_mode(h, Mode.INT)
 
     # no hypotheses needed at all
-    term = _Search(budget.prover_fuel).prove([], goal)
-    if term is not None:
-        return _term_to_derivation(term)
+    derived = derive(goal)
+    if derived is not None:
+        return derived
 
     premises = tuple(asserts(h) for h in hypotheses)
     attempts = 0
@@ -503,22 +511,19 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
     for premise, options in zip(premises, per_hyp):
         for subst, instance in options:
             attempts += 1
-            if attempts > budget.max_attempts:
+            if attempts > _MAX_ATTEMPTS:
                 return None
             if instance == goal:
                 builder = ProofBuilder(premises)
                 source = builder.add(premise, Hypothesis())
                 return builder.conclude(_substitute(builder, source, subst))
-            lemma = Implies(instance, goal)
-            if not _plausibly_valid(lemma):
-                continue
-            term = _Search(budget.prover_fuel).prove([], lemma)
-            if term is None:
+            lemma = derive_lemma(Implies(instance, goal))
+            if lemma is None:
                 continue
             builder = ProofBuilder(premises)
             source = builder.add(premise, Hypothesis())
             inst_idx = _substitute(builder, source, subst)
-            lemma_idx = builder.splice(_term_to_derivation(term))
+            lemma_idx = builder.splice(lemma)
             return builder.conclude(_mp(builder, lemma_idx, inst_idx))
 
     # two instances, drawn from a reduced pool to stay within budget
@@ -530,18 +535,15 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
             for subst_i, inst_i in options_i[:20]:
                 for subst_j, inst_j in options_j[:20]:
                     pairs += 1
-                    if pairs > budget.max_pairs:
+                    if pairs > _MAX_PAIRS:
                         return None
-                    lemma = Implies(inst_i, Implies(inst_j, goal))
-                    if not _plausibly_valid(lemma):
-                        continue
-                    term = _Search(budget.prover_fuel).prove([], lemma)
-                    if term is None:
+                    lemma = derive_lemma(Implies(inst_i, Implies(inst_j, goal)))
+                    if lemma is None:
                         continue
                     builder = ProofBuilder(premises)
                     src_i = _substitute(builder, builder.add(premises[i], Hypothesis()), subst_i)
                     src_j = _substitute(builder, builder.add(premises[j], Hypothesis()), subst_j)
-                    lemma_idx = builder.splice(_term_to_derivation(term))
+                    lemma_idx = builder.splice(lemma)
                     mid = _mp(builder, lemma_idx, src_i)
                     return builder.conclude(_mp(builder, mid, src_j))
     return None

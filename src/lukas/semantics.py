@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .formulas import (
     And,
@@ -237,6 +237,12 @@ def _admissible_sets(frame: Frame) -> tuple[int, ...]:
 def frame_valid(frame: Frame, a: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
     """True iff `a` is forced at every world under every admissible valuation
     of its variables.  Decided by exhaustive enumeration within `budget`."""
+    return falsifying_model(frame, a, budget) is None
+
+
+def falsifying_model(frame: Frame, a: Formula,
+                     budget: Budget = DEFAULT_BUDGET) -> Optional[KripkeModel]:
+    """A model on `frame` where `a` fails somewhere, or None if frame-valid."""
     check_mode(a, frame.mode)
     names = sorted(variables(a))
     if frame.n > budget.max_worlds:
@@ -245,22 +251,6 @@ def frame_valid(frame: Frame, a: Formula, budget: Budget = DEFAULT_BUDGET) -> bo
     if len(names) > budget.max_vars:
         raise ResourceBoundError(
             f"formula has {len(names)} variables, budget allows {budget.max_vars}")
-    full = frame.full_mask()
-    sets = _admissible_sets(frame)
-    for choice in itertools.product(sets, repeat=len(names)):
-        model = KripkeModel(frame, tuple(zip(names, choice)))
-        if truth_mask(model, a) != full:
-            return False
-    return True
-
-
-def falsifying_model(frame: Frame, a: Formula,
-                     budget: Budget = DEFAULT_BUDGET) -> Optional[KripkeModel]:
-    """A model on `frame` where `a` fails somewhere, or None if frame-valid."""
-    check_mode(a, frame.mode)
-    names = sorted(variables(a))
-    if frame.n > budget.max_worlds or len(names) > budget.max_vars:
-        raise ResourceBoundError("falsification search exceeds budget")
     full = frame.full_mask()
     for choice in itertools.product(_admissible_sets(frame), repeat=len(names)):
         model = KripkeModel(frame, tuple(zip(names, choice)))
@@ -277,24 +267,16 @@ def frame_validates(frame: Frame, statement: Statement,
     return valid if statement.sign is Sign.ASSERT else not valid
 
 
-def check_adequacy(target: Union[Frame, KripkeModel],
+def check_adequacy(frame: Frame,
                    ds: DeductiveSystem,
                    budget: Budget = DEFAULT_BUDGET) -> bool:
     """True iff every positive axiom of `ds` is valid and every anti-axiom
-    invalid in the frame or model.  Rule soundness then extends this to every
+    invalid in the frame.  Rule soundness then extends this to every
     derivable statement."""
-    if isinstance(target, Frame):
-        if target.mode is not ds.mode:
-            raise ValueError("frame and system modes differ")
-        positive_ok = all(frame_valid(target, a, budget) for a in ds.positive_axioms())
-        negative_ok = all(not frame_valid(target, a, budget) for a in ds.anti_axioms)
-        return positive_ok and negative_ok
-    if target.frame.mode is not ds.mode:
-        raise ValueError("model and system modes differ")
-    positive_ok = all(model_validates(target, Statement(Sign.ASSERT, a))
-                      for a in ds.positive_axioms())
-    negative_ok = all(model_validates(target, Statement(Sign.REJECT, a))
-                      for a in ds.anti_axioms)
+    if frame.mode is not ds.mode:
+        raise ValueError("frame and system modes differ")
+    positive_ok = all(frame_valid(frame, a, budget) for a in ds.positive_axioms())
+    negative_ok = all(not frame_valid(frame, a, budget) for a in ds.anti_axioms)
     return positive_ok and negative_ok
 
 

@@ -40,7 +40,7 @@ from .kernel import (
     check_inference,
     rejects,
 )
-from .prover import _Search, _term_to_derivation, _plausibly_valid
+from .prover import derive, derive_lemma
 from .semantics import KripkeModel, point_frame, truth_mask
 
 
@@ -92,10 +92,9 @@ _POINT = point_frame()
 @lru_cache(maxsize=1)
 def _apply_template() -> Inference:
     """Derivation of p -> ((p -> q) -> q)."""
-    goal = Implies(Var("p"), Implies(Implies(Var("p"), Var("q")), Var("q")))
-    term = _Search(100_000).prove([], goal)
-    assert term is not None
-    return _term_to_derivation(term)
+    template = derive(Implies(Var("p"), Implies(Implies(Var("p"), Var("q")), Var("q"))))
+    assert template is not None
+    return template
 
 
 def _hypothesis_free(inf: Inference, target: int) -> bool:
@@ -103,30 +102,16 @@ def _hypothesis_free(inf: Inference, target: int) -> bool:
                    for i in inf.support(target))
 
 
-def _prove_lemma(lemma: Formula, fuel: int = 80_000) -> Optional[Inference]:
-    if has_box(lemma):
-        return None
-    if not _plausibly_valid(lemma):
-        return None
-    term = _Search(fuel).prove([], lemma)
-    if term is None:
-        return None
-    return _term_to_derivation(term)
-
-
 def symmetry_transform(ds: DeductiveSystem,
                        inf: Inference,
                        derivable: Callable[[Formula], bool],
-                       prove_positive: Optional[Callable[[Formula], Optional[Inference]]] = None,
                        ) -> tuple[int, Inference]:
     """Given an all-positive checked inference of +B from +A1..+An where the
     oracle says B is underivable, produce (i, ref) with ref a checked
     inference of -Ai from the single hypothesis -B.
 
     `derivable` must soundly decide derivability in the system (a tabular
-    semantic oracle at desk scale).  `prove_positive`, when given, supplies a
-    hypothesis-free positive inference for a derivable formula whenever the
-    input inference cannot be replayed for it.
+    semantic oracle at desk scale).
     """
     if not inf.steps:
         raise TransformError("empty inference")
@@ -148,11 +133,6 @@ def symmetry_transform(ds: DeductiveSystem,
     def splice_derivable(target_index: int, formula: Formula) -> int:
         if _hypothesis_free(inf, target_index):
             return builder.splice(inf, target_index)
-        if prove_positive is not None:
-            supplied = prove_positive(formula)
-            if supplied is not None:
-                _validate_supplied(ds, supplied, formula)
-                return builder.splice(supplied)
         raise SymmetryDefectError(
             f"no hypothesis-free derivation available for {render(formula)}")
 
@@ -201,7 +181,7 @@ def symmetry_transform(ds: DeductiveSystem,
         def reject_via_lemma(lemma_target: Formula, subst: dict[str, Formula],
                              source_index: int) -> Optional[int]:
             instance = apply_substitution(subst, lemma_target)
-            lemma = _prove_lemma(Implies(instance, formula))
+            lemma = derive_lemma(Implies(instance, formula))
             if lemma is None:
                 return None
             lemma_index = builder.splice(lemma)
@@ -268,16 +248,3 @@ def symmetry_transform(ds: DeductiveSystem,
     if not report.ok:
         raise SymmetryDefectError(f"constructed refutation fails checking: {report}")
     return hypothesis_index, result
-
-
-def _validate_supplied(ds: DeductiveSystem, supplied: Inference, formula: Formula) -> None:
-    if supplied.hypotheses:
-        raise SymmetryDefectError("supplied derivation must be hypothesis-free")
-    if any(s.statement.sign is not Sign.ASSERT for s in supplied.steps):
-        raise SymmetryDefectError("supplied derivation must be all-positive")
-    if supplied.conclusion.formula != formula:
-        raise SymmetryDefectError("supplied derivation proves the wrong formula")
-    report = check_inference(ds, supplied)
-    if not report.ok:
-        raise SymmetryDefectError(f"supplied derivation fails checking: {report}")
-
