@@ -157,9 +157,8 @@ def build_system(oracle: Callable[[Formula], bool],
                  mode: Mode = Mode.INT) -> DeductiveSystem:
     """Intuitionistic basis plus, for each family formula, a positive axiom
     when the oracle accepts it and an anti-axiom otherwise."""
-    positive = [e.formula for e in family if oracle(e.formula)]
-    negative = [e.formula for e in family if not oracle(e.formula)]
-    return system(mode, positive, negative)
+    signed = [(oracle(e.formula), e.formula) for e in family]
+    return system(mode, [f for ok, f in signed if ok], [f for ok, f in signed if not ok])
 
 
 # --- refutation and positive pipelines ----------------------------------------
@@ -342,16 +341,22 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def manifest_context(manifest: Manifest):
-    """Rebuild oracle, family, and system from a manifest, verifying the
-    recorded signs against the oracle."""
+    """Rebuild oracle, family, and system from a manifest, verifying that
+    it marks exactly the family, each formula with its sign in the system."""
     oracle = tabular_oracle(list(manifest.frames), _ORACLE_BUDGET)
     family = jankov_family(manifest.bound)
     ds = build_system(oracle, family, manifest.mode)
-    recorded = {render(f): sign for sign, f in manifest.marks}
-    for entry in family:
-        expected = Sign.ASSERT if oracle(entry.formula) else Sign.REJECT
-        seen = recorded.get(render(entry.formula))
-        if seen is not None and seen is not expected:
+    signs = {**dict.fromkeys(ds.extra_positive, Sign.ASSERT),
+             **dict.fromkeys(ds.anti_axioms, Sign.REJECT)}
+    for sign, formula in manifest.marks:
+        if formula not in signs:
+            raise ValueError(f"manifest marks {render(formula)}, which is not "
+                             f"in the family of bound {manifest.bound}")
+        if sign is not signs[formula]:
             raise ValueError(
-                f"manifest sign for {render(entry.formula)} disagrees with its frames")
+                f"manifest sign for {render(formula)} disagrees with its frames")
+    marked = {formula for _sign, formula in manifest.marks}
+    for entry in family:
+        if entry.formula not in marked:
+            raise ValueError(f"manifest does not mark {render(entry.formula)}")
     return ds, oracle, family

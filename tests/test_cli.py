@@ -193,6 +193,20 @@ def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
     assert err.startswith("error: hyp needs a sign and a formula")
 
 
+@pytest.mark.parametrize("extra, keep_marks", [("+ q\n", True), ("", False)])
+def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_marks):
+    (workdir / "point.frame").write_text("mode int\nworlds 1\n")
+    code, out = run(capsys, "axiomatize", "--frames", str(workdir / "point.frame"),
+                    "--bound", "1")
+    assert code == 0
+    lines = [line for line in out.splitlines(keepends=True)
+             if keep_marks or line[0] not in "+-"]
+    (workdir / "point.ds").write_text("".join(lines) + extra)
+    assert main(["check", str(workdir / "ok.proof"),
+                 "--system", str(workdir / "point.ds")]) == 2
+    assert capsys.readouterr().err.startswith("error: manifest ")
+
+
 def test_removed_global_flags_are_usage_errors(workdir, capsys):
     for flag, value in (("--mode", "int"), ("--seed", "0"), ("--bound", "3")):
         assert main([flag, value, "ipc", "p -> p"]) == 2
