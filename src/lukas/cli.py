@@ -253,6 +253,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("resource bound: formula nesting exceeds the recursion limit",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

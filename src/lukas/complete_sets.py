@@ -24,8 +24,10 @@ from .formulas import (
     apply_substitution,
     conj,
     disj,
+    file_lines,
     neg,
     parse_formula,
+    parse_formula_at,
     render,
 )
 from .kernel import (
@@ -50,6 +52,7 @@ from .semantics import (
     ResourceBoundError,
     _bits,
     enumerate_rooted_posets,
+    frame_from_pairs,
     point_frame,
     root_of,
     tabular_oracle,
@@ -309,34 +312,35 @@ def parse_manifest(text: str) -> Manifest:
     bound: Optional[int] = None
     frames: list[Frame] = []
     marks: list[tuple[Sign, Formula]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("mode", "bound", "frame") and len(parts) < 2:
-            raise ParseError(f"manifest directive {parts[0]!r} needs a value", 0)
-        if parts[0] == "mode":
-            mode = Mode(parts[1])
-        elif parts[0] == "bound":
-            bound = int(parts[1])
-        elif parts[0] == "frame":
-            n = int(parts[1])
-            pairs = []
-            for token in parts[2:]:
-                i, j = token.split("-")
-                pairs.append((int(i), int(j)))
-            from .semantics import frame_from_pairs
-            frames.append(frame_from_pairs(mode or Mode.INT, n, pairs))
-        elif parts[0] in ("+", "-"):
-            if mode is None:
-                raise ParseError("manifest must declare mode before formulas", 0)
-            sign = Sign.ASSERT if parts[0] == "+" else Sign.REJECT
-            marks.append((sign, parse_formula(line[1:].strip(), mode)))
-        else:
-            raise ParseError(f"unknown manifest directive {parts[0]!r}", 0)
+    try:
+        for number, line in file_lines(text):
+            parts = line.split()
+            if parts[0] in ("mode", "bound", "frame", "+", "-") and len(parts) < 2:
+                raise ParseError(f"manifest directive {parts[0]!r} needs a value")
+            if parts[0] == "mode":
+                mode = Mode(parts[1])
+            elif parts[0] == "bound":
+                bound = int(parts[1])
+            elif parts[0] == "frame":
+                n = int(parts[1])
+                pairs = []
+                for token in parts[2:]:
+                    i, j = token.split("-")
+                    pairs.append((int(i), int(j)))
+                frames.append(frame_from_pairs(mode or Mode.INT, n, pairs))
+            elif parts[0] in ("+", "-"):
+                if mode is None:
+                    raise ParseError("manifest must declare mode before formulas")
+                sign = Sign.ASSERT if parts[0] == "+" else Sign.REJECT
+                formula_text = line.split(None, 1)[1]
+                marks.append((sign, parse_formula_at(
+                    formula_text, mode, len(line) - len(formula_text))))
+            else:
+                raise ParseError(f"unknown manifest directive {parts[0]!r}")
+    except ParseError as exc:
+        raise exc.on_line(number) from None
     if mode is None or bound is None or not frames:
-        raise ParseError("manifest needs mode, bound and at least one frame", 0)
+        raise ParseError("manifest needs mode, bound and at least one frame")
     return Manifest(mode, tuple(frames), bound, tuple(marks))
 
 

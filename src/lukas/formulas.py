@@ -36,11 +36,28 @@ class Mode(enum.Enum):
 
 
 class ParseError(ValueError):
-    """Raised on malformed formula text; carries the 0-based offset."""
+    """Raised on malformed text.  An error in a formula carries the 0-based
+    `position` in the formula's text.  An error in a file carries the 1-based
+    `line` and, when a formula on that line is at fault, the 1-based
+    `column`; an error about the file as a whole carries neither."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: Optional[int] = None,
+                 line: Optional[int] = None, column: Optional[int] = None):
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+        elif position is not None:
+            where = f"position {position}"
+        else:
+            where = None
+        super().__init__(message if where is None else f"{message} (at {where})")
+        self.message = message
         self.position = position
+        self.line = line
+        self.column = column
+
+    def on_line(self, line: int) -> "ParseError":
+        """This error, raised while reading `line` of a file."""
+        return ParseError(self.message, line=line, column=self.column)
 
 
 class ModeError(ValueError):
@@ -411,6 +428,24 @@ class _Parser:
 
 def parse_formula(text: str, mode: Mode = Mode.INT) -> Formula:
     return _Parser(text, mode).parse()
+
+
+def file_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a file with `#` comments and trailing blanks
+    dropped, each with its 1-based number."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield number, line
+
+
+def parse_formula_at(text: str, mode: Mode, offset: int) -> Formula:
+    """`parse_formula` for text that starts at 0-based `offset` of a line in
+    a file: an error carries its 1-based column in that line."""
+    try:
+        return parse_formula(text, mode)
+    except ParseError as exc:
+        raise ParseError(exc.message, column=offset + (exc.position or 0) + 1) from None
 
 
 def render(a: Formula) -> str:

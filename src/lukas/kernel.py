@@ -16,6 +16,7 @@ Step numbers run consecutively from 1; rule indices point strictly backwards.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -29,8 +30,10 @@ from .formulas import (
     Substitution,
     apply_substitution,
     check_mode,
+    file_lines,
     match_instance,
     parse_formula,
+    parse_formula_at,
     render,
 )
 
@@ -499,26 +502,24 @@ def _parse_sign(token: str, where: str) -> Sign:
         return Sign.ASSERT
     if token == "-":
         return Sign.REJECT
-    raise ParseError(f"expected + or - in {where}", 0)
+    raise ParseError(f"expected + or - in {where}")
 
 
-def _parse_substitution(text: str, mode: Mode) -> dict[str, Formula]:
-    text = text.strip()
+def _parse_substitution(text: str, mode: Mode, offset: int) -> dict[str, Formula]:
+    """The substitution `{ name := formula ; ... }` that starts at `offset`
+    of its line."""
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError("substitution must be wrapped in { }", 0)
-    inner = text[1:-1].strip()
+        raise ParseError("substitution must be wrapped in { }")
     subst: dict[str, Formula] = {}
-    if not inner:
-        return subst
-    for part in inner.split(";"):
-        part = part.strip()
-        if not part:
+    for entry in re.finditer(r"[^;]+", text[1:-1]):
+        part = entry.group()
+        if not part.strip():
             continue
         if ":=" not in part:
-            raise ParseError(f"bad substitution entry {part!r}", 0)
+            raise ParseError(f"bad substitution entry {part.strip()!r}")
         name, rhs = part.split(":=", 1)
-        name = name.strip()
-        subst[name] = parse_formula(rhs, mode)
+        subst[name.strip()] = parse_formula_at(
+            rhs, mode, offset + 1 + entry.start() + len(name) + 2)
     return subst
 
 
@@ -527,47 +528,53 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
     hypotheses: list[Statement] = []
     steps: list[Step] = []
     expected = 1
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if mode is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("int", "k4"):
-                raise ParseError("first line must be 'mode int' or 'mode k4'", 0)
-            mode = Mode(parts[1])
-            continue
-        if line.startswith("hyp "):
-            if steps:
-                raise ParseError("hypotheses must precede steps", 0)
-            parts = line.split(None, 2)
+    try:
+        for number, line in file_lines(text):
+            if mode is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("int", "k4"):
+                    raise ParseError("first line must be 'mode int' or 'mode k4'")
+                mode = Mode(parts[1])
+                continue
+            if line.lstrip().startswith("hyp "):
+                if steps:
+                    raise ParseError("hypotheses must precede steps")
+                parts = line.split(None, 2)
+                if len(parts) != 3:
+                    raise ParseError(f"hyp needs a sign and a formula: {line.strip()!r}")
+                _, sign_tok, formula_text = parts
+                hypotheses.append(Statement(
+                    _parse_sign(sign_tok, "hypothesis"),
+                    parse_formula_at(formula_text, mode, len(line) - len(formula_text))))
+                continue
+            if ";" not in line:
+                raise ParseError(f"step line missing justification: {line.strip()!r}")
+            head, just_text = line.split(";", 1)
+            parts = head.split(None, 2)
             if len(parts) != 3:
-                raise ParseError(f"hyp needs a sign and a formula: {line!r}", 0)
-            _, sign_tok, formula_text = parts
-            hypotheses.append(Statement(_parse_sign(sign_tok, "hypothesis"),
-                                        parse_formula(formula_text, mode)))
-            continue
-        if ";" not in line:
-            raise ParseError(f"step line missing justification: {line!r}", 0)
-        head, just_text = line.split(";", 1)
-        parts = head.split(None, 2)
-        if len(parts) != 3:
-            raise ParseError(f"malformed step line: {line!r}", 0)
-        number, sign_tok, formula_text = parts
-        if not number.isdigit() or int(number) != expected:
-            raise ParseError(f"step numbers must run consecutively from 1, got {number}", 0)
-        expected += 1
-        statement = Statement(_parse_sign(sign_tok, "step"), parse_formula(formula_text, mode))
-        steps.append(Step(statement, _parse_justification(just_text.strip(), mode)))
+                raise ParseError(f"malformed step line: {line.strip()!r}")
+            step_number, sign_tok, formula_text = parts
+            if not step_number.isdigit() or int(step_number) != expected:
+                raise ParseError(
+                    f"step numbers must run consecutively from 1, got {step_number}")
+            expected += 1
+            statement = Statement(
+                _parse_sign(sign_tok, "step"),
+                parse_formula_at(formula_text, mode, len(head) - len(formula_text)))
+            steps.append(Step(statement,
+                              _parse_justification(just_text, mode, len(head) + 1)))
+    except ParseError as exc:
+        raise exc.on_line(number) from None
     if mode is None:
-        raise ParseError("empty proof script", 0)
+        raise ParseError("empty proof script")
     return mode, Inference(tuple(hypotheses), tuple(steps))
 
 
-def _parse_justification(text: str, mode: Mode) -> Justification:
+def _parse_justification(text: str, mode: Mode, offset: int) -> Justification:
+    """The justification in `text`, which starts at `offset` of its line."""
     parts = text.split(None, 1)
     if not parts:
-        raise ParseError("missing justification", 0)
+        raise ParseError("missing justification")
     tag = parts[0]
     rest = parts[1] if len(parts) > 1 else ""
     if tag == "ax":
@@ -579,23 +586,24 @@ def _parse_justification(text: str, mode: Mode) -> Justification:
     if tag in ("mp", "mt"):
         nums = rest.split()
         if len(nums) != 2 or not all(n.isdigit() for n in nums):
-            raise ParseError(f"{tag} needs two step indices", 0)
+            raise ParseError(f"{tag} needs two step indices")
         cls = MP if tag == "mp" else MT
         return cls(int(nums[0]), int(nums[1]))
     if tag == "sb":
         sub_parts = rest.split(None, 1)
         if not sub_parts or not sub_parts[0].isdigit():
-            raise ParseError("sb needs a step index and a substitution", 0)
+            raise ParseError("sb needs a step index and a substitution")
         source = int(sub_parts[0])
-        subst = _parse_substitution(sub_parts[1] if len(sub_parts) > 1 else "{}", mode)
+        subst_text = sub_parts[1] if len(sub_parts) > 1 else "{}"
+        subst = _parse_substitution(subst_text, mode, offset + len(text) - len(subst_text))
         return Sb.of(source, subst)
     if tag in ("rs", "ns", "rn"):
         nums = rest.split()
         if len(nums) != 1 or not nums[0].isdigit():
-            raise ParseError(f"{tag} needs one step index", 0)
+            raise ParseError(f"{tag} needs one step index")
         cls = {"rs": RS, "ns": NS, "rn": RN}[tag]
         return cls(int(nums[0]))
-    raise ParseError(f"unknown justification {tag!r}", 0)
+    raise ParseError(f"unknown justification {tag!r}")
 
 
 def _render_justification(just: Justification) -> str:

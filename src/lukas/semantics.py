@@ -32,6 +32,7 @@ from .formulas import (
     ParseError,
     Var,
     check_mode,
+    file_lines,
     variables,
 )
 from .kernel import DeductiveSystem, Sign, Statement
@@ -435,36 +436,36 @@ def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
     n: Optional[int] = None
     pairs: list[tuple[int, int]] = []
     valuation: dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "mode":
-            if len(parts) != 2 or parts[1] not in ("int", "k4"):
-                raise ParseError("mode line must be 'mode int' or 'mode k4'", 0)
-            mode = Mode(parts[1])
-        elif parts[0] == "worlds":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("worlds line must be 'worlds <n>'", 0)
-            n = int(parts[1])
-        elif parts[0] == "rel":
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
-                raise ParseError("rel line must be 'rel <i> <j>'", 0)
-            pairs.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "val":
-            if len(parts) < 2:
-                raise ParseError("val line must be 'val <var> <worlds...>'", 0)
-            mask = valuation.get(parts[1], 0)
-            for tok in parts[2:]:
-                if not tok.isdigit():
-                    raise ParseError(f"bad world index {tok!r}", 0)
-                mask |= 1 << int(tok)
-            valuation[parts[1]] = mask
-        else:
-            raise ParseError(f"unknown directive {parts[0]!r}", 0)
+    try:
+        for number, line in file_lines(text):
+            parts = line.split()
+            if parts[0] == "mode":
+                if len(parts) != 2 or parts[1] not in ("int", "k4"):
+                    raise ParseError("mode line must be 'mode int' or 'mode k4'")
+                mode = Mode(parts[1])
+            elif parts[0] == "worlds":
+                if len(parts) != 2 or not parts[1].isdigit():
+                    raise ParseError("worlds line must be 'worlds <n>'")
+                n = int(parts[1])
+            elif parts[0] == "rel":
+                if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+                    raise ParseError("rel line must be 'rel <i> <j>'")
+                pairs.append((int(parts[1]), int(parts[2])))
+            elif parts[0] == "val":
+                if len(parts) < 2:
+                    raise ParseError("val line must be 'val <var> <worlds...>'")
+                mask = valuation.get(parts[1], 0)
+                for tok in parts[2:]:
+                    if not tok.isdigit():
+                        raise ParseError(f"bad world index {tok!r}")
+                    mask |= 1 << int(tok)
+                valuation[parts[1]] = mask
+            else:
+                raise ParseError(f"unknown directive {parts[0]!r}")
+    except ParseError as exc:
+        raise exc.on_line(number) from None
     if mode is None or n is None:
-        raise ParseError("frame file needs 'mode' and 'worlds' lines", 0)
+        raise ParseError("frame file needs 'mode' and 'worlds' lines")
     return frame_from_pairs(mode, n, pairs), valuation
 
 

@@ -193,7 +193,8 @@ def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
     assert err.startswith("error: hyp needs a sign and a formula")
 
 
-@pytest.mark.parametrize("extra, keep_marks", [("+ q\n", True), ("", False)])
+@pytest.mark.parametrize("extra, keep_marks", [("+ q\n", True), ("", False)],
+                         ids=["extra-mark", "missing-mark"])
 def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_marks):
     (workdir / "point.frame").write_text("mode int\nworlds 1\n")
     code, out = run(capsys, "axiomatize", "--frames", str(workdir / "point.frame"),
@@ -205,6 +206,33 @@ def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_mark
     assert main(["check", str(workdir / "ok.proof"),
                  "--system", str(workdir / "point.ds")]) == 2
     assert capsys.readouterr().err.startswith("error: manifest ")
+
+
+@pytest.mark.parametrize("name, text, argv, where", [
+    ("step.proof", "mode int\n1 + p -> ; ax\n", ["check", "{path}"],
+     "(at line 2, column 10)"),
+    ("rel.frame", "mode int\nworlds 2\n\nrel 0 x\n", ["valid", "--frame", "{path}", "p"],
+     "(at line 4)"),
+    ("sign.ds", "mode int\nbound 1\nframe 1 0-0\n+\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"], "(at line 4)"),
+], ids=["proof", "frame", "manifest"])
+def test_file_parse_errors_name_the_line(workdir, capsys, name, text, argv, where):
+    path = workdir / name
+    path.write_text(text)
+    assert main([a.format(path=path, dir=workdir) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(where)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{path}"],
+    ["ipc", "~" * 3000 + "p"],
+], ids=["check", "ipc"])
+def test_deep_nesting_is_a_resource_bound(workdir, capsys, argv):
+    path = workdir / "deep.proof"
+    path.write_text("mode int\n1 + " + "~" * 5000 + "p ; ax\n")
+    assert main([a.format(path=path) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("resource bound:")
 
 
 def test_removed_global_flags_are_usage_errors(workdir, capsys):
