@@ -16,7 +16,6 @@ Step numbers run consecutively from 1; rule indices point strictly backwards.
 from __future__ import annotations
 
 import enum
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -511,15 +510,14 @@ def _parse_substitution(text: str, mode: Mode, offset: int) -> dict[str, Formula
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("substitution must be wrapped in { }")
     subst: dict[str, Formula] = {}
-    for entry in re.finditer(r"[^;]+", text[1:-1]):
-        part = entry.group()
-        if not part.strip():
-            continue
-        if ":=" not in part:
+    start = offset + 1
+    for part in text[1:-1].split(";"):
+        if ":=" in part:
+            name, rhs = part.split(":=", 1)
+            subst[name.strip()] = parse_formula_at(rhs, mode, start + len(name) + 2)
+        elif part.strip():
             raise ParseError(f"bad substitution entry {part.strip()!r}")
-        name, rhs = part.split(":=", 1)
-        subst[name.strip()] = parse_formula_at(
-            rhs, mode, offset + 1 + entry.start() + len(name) + 2)
+        start += len(part) + 1
     return subst
 
 
