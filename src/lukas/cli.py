@@ -60,6 +60,19 @@ class _Output:
             if payload is not None:
                 print(payload, end="" if payload.endswith("\n") else "\n")
 
+    def error(self, code: int, prefix: str, exc: Exception | str) -> int:
+        """Report a failure on stderr and, in JSON, as a record on stdout
+        with its exit code and where it is, when that is known."""
+        message = str(exc)
+        print(f"{prefix}: {message}", file=sys.stderr)
+        if self.as_json:
+            record = {"error": getattr(exc, "message", message), "exit": code}
+            for key in ("line", "column", "position"):
+                if getattr(exc, key, None) is not None:
+                    record[key] = getattr(exc, key)
+            print(json.dumps(record, sort_keys=True))
+        return code
+
 
 def _read(path: str) -> str:
     return Path(path).read_text()
@@ -74,8 +87,7 @@ def cmd_check(args, out: _Output) -> int:
     if args.system:
         ds, _oracle, _family = manifest_context(parse_manifest(_read(args.system)))
         if ds.mode is not mode:
-            print("error: proof and system modes differ", file=sys.stderr)
-            return 2
+            raise ValueError("proof and system modes differ")
     else:
         from .kernel import system
         ds = system(mode)
@@ -86,8 +98,7 @@ def cmd_check(args, out: _Output) -> int:
 
 def cmd_valid(args, out: _Output) -> int:
     if (args.model is None) == (args.frame is None):
-        print("valid needs exactly one of --model or --frame", file=sys.stderr)
-        return 2
+        raise ValueError("valid needs exactly one of --model or --frame")
     if args.model:
         model = parse_model_file(_read(args.model))
         formula = parse_formula(args.formula, model.frame.mode)
@@ -170,8 +181,7 @@ def cmd_transform(args, out: _Output) -> int:
         out.verdict("EXTRACTED", payload=render_proof_script(mode, result))
         return 0
     if oracle is None:
-        print("transform symmetry needs --system or --frames", file=sys.stderr)
-        return 2
+        raise ValueError("transform symmetry needs --system or --frames")
     index, result = symmetry_transform(ds, inf, oracle)
     script = f"# refutes hypothesis {index}\n" + render_proof_script(mode, result)
     out.verdict("REFUTATION", payload=script, index=index)
@@ -244,19 +254,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     out = _Output(args.format == "json")
     try:
         return args.run(args, out)
-    except (ParseError, ModeError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, ModeError, OSError, ValueError) as exc:
+        return out.error(2, "error", exc)
     except SearchExhaustedError as exc:
-        print(f"not found: {exc}", file=sys.stderr)
-        return 1
+        return out.error(1, "not found", exc)
     except ResourceBoundError as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return 3
+        return out.error(3, "resource bound", exc)
     except RecursionError:
-        print("resource bound: formula nesting exceeds the recursion limit",
-              file=sys.stderr)
-        return 3
+        return out.error(3, "resource bound", "formula nesting exceeds the recursion limit")
 
 
 if __name__ == "__main__":

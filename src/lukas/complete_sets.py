@@ -307,6 +307,12 @@ class Manifest:
     marks: tuple[tuple[Sign, Formula], ...]
 
 
+def _count(token: str, directive: str) -> int:
+    if not token.isdecimal():
+        raise ParseError(f"manifest directive {directive!r} needs a number, got {token!r}")
+    return int(token)
+
+
 def parse_manifest(text: str) -> Manifest:
     mode: Optional[Mode] = None
     bound: Optional[int] = None
@@ -318,16 +324,25 @@ def parse_manifest(text: str) -> Manifest:
             if parts[0] in ("mode", "bound", "frame", "+", "-") and len(parts) < 2:
                 raise ParseError(f"manifest directive {parts[0]!r} needs a value")
             if parts[0] == "mode":
+                if parts[1] not in ("int", "k4"):
+                    raise ParseError(f"manifest directive 'mode' must be int or k4, "
+                                     f"got {parts[1]!r}")
                 mode = Mode(parts[1])
             elif parts[0] == "bound":
-                bound = int(parts[1])
+                bound = _count(parts[1], "bound")
             elif parts[0] == "frame":
-                n = int(parts[1])
+                n = _count(parts[1], "frame")
                 pairs = []
                 for token in parts[2:]:
-                    i, j = token.split("-")
+                    i, dash, j = token.partition("-")
+                    if not (dash and i.isdecimal() and j.isdecimal()):
+                        raise ParseError(f"manifest directive 'frame' needs edges i-j, "
+                                         f"got {token!r}")
                     pairs.append((int(i), int(j)))
-                frames.append(frame_from_pairs(mode or Mode.INT, n, pairs))
+                try:
+                    frames.append(frame_from_pairs(mode or Mode.INT, n, pairs))
+                except ValueError as exc:
+                    raise ParseError(f"manifest directive 'frame': {exc}") from None
             elif parts[0] in ("+", "-"):
                 if mode is None:
                     raise ParseError("manifest must declare mode before formulas")

@@ -11,12 +11,19 @@ Proof scripts are a line-based text format:
                       | mt <i> <j> | rs <i> | ns <i> | rn <i>
 
 Step numbers run consecutively from 1; rule indices point strictly backwards.
+
+The reader parses each distinct formula text once per script.  An `mp`,
+`mt` or `sb` statement is fixed by its premises, so when the formula they
+give renders as the step's text, the reader takes that formula instead of
+parsing the text; it is the very object a parse would return.  Any other
+text is parsed.  The reader trusts nothing it reads: `check_inference`
+still checks every step.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -504,9 +511,10 @@ def _parse_sign(token: str, where: str) -> Sign:
     raise ParseError(f"expected + or - in {where}")
 
 
-def _parse_substitution(text: str, mode: Mode, offset: int) -> dict[str, Formula]:
+def _parse_substitution(text: str, offset: int,
+                        read: Callable[[str, int], Formula]) -> dict[str, Formula]:
     """The substitution `{ name := formula ; ... }` that starts at `offset`
-    of its line."""
+    of its line; `read(text, offset)` reads each right-hand side."""
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("substitution must be wrapped in { }")
     subst: dict[str, Formula] = {}
@@ -514,11 +522,34 @@ def _parse_substitution(text: str, mode: Mode, offset: int) -> dict[str, Formula
     for part in text[1:-1].split(";"):
         if ":=" in part:
             name, rhs = part.split(":=", 1)
-            subst[name.strip()] = parse_formula_at(rhs, mode, start + len(name) + 2)
+            subst[name.strip()] = read(rhs, start + len(name) + 2)
         elif part.strip():
             raise ParseError(f"bad substitution entry {part.strip()!r}")
         start += len(part) + 1
     return subst
+
+
+def _given(just: Justification, steps: Sequence[Step], text: str) -> Optional[Formula]:
+    """The formula that the premises of an `mp`, `mt` or `sb` step give, if
+    they are earlier steps, an `mp` or `mt` major premise is an implication,
+    and the formula renders as `text`; otherwise None."""
+    if isinstance(just, (MP, MT)):
+        if not 0 < just.major <= len(steps):
+            return None
+        major = steps[just.major - 1].statement.formula
+        if not isinstance(major, Implies):
+            return None
+        formula = major.right if isinstance(just, MP) else major.left
+    elif isinstance(just, Sb) and 0 < just.source <= len(steps):
+        formula = steps[just.source - 1].statement.formula
+    else:
+        return None
+    try:
+        if isinstance(just, Sb):
+            formula = apply_substitution(just.substitution(), formula)
+        return formula if render(formula) == text else None
+    except RecursionError:      # a long left-nested chain parses, but is too deep to walk
+        return None
 
 
 def parse_proof_script(text: str) -> tuple[Mode, Inference]:
@@ -526,6 +557,22 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
     hypotheses: list[Statement] = []
     steps: list[Step] = []
     expected = 1
+    parsed: dict[str, Formula] = {}
+
+    def read(formula_text: str, offset: int, just: Optional[Justification] = None) -> Formula:
+        """The formula in `formula_text`, which starts at `offset` of its
+        line: the one that the premises of `just` give, if it renders as the
+        text, else the text parsed.  Each distinct text is read once."""
+        key = formula_text.strip()
+        formula = parsed.get(key)
+        if formula is None:
+            if just is not None:
+                formula = _given(just, steps, key)
+            if formula is None:
+                formula = parse_formula_at(formula_text, mode, offset)
+            parsed[key] = formula
+        return formula
+
     try:
         for number, line in file_lines(text):
             if mode is None:
@@ -543,7 +590,7 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
                 _, sign_tok, formula_text = parts
                 hypotheses.append(Statement(
                     _parse_sign(sign_tok, "hypothesis"),
-                    parse_formula_at(formula_text, mode, len(line) - len(formula_text))))
+                    read(formula_text, len(line) - len(formula_text))))
                 continue
             if ";" not in line:
                 raise ParseError(f"step line missing justification: {line.strip()!r}")
@@ -552,15 +599,18 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
             if len(parts) != 3:
                 raise ParseError(f"malformed step line: {line.strip()!r}")
             step_number, sign_tok, formula_text = parts
-            if not step_number.isdigit() or int(step_number) != expected:
+            if not step_number.isdecimal() or int(step_number) != expected:
                 raise ParseError(
                     f"step numbers must run consecutively from 1, got {step_number}")
             expected += 1
-            statement = Statement(
-                _parse_sign(sign_tok, "step"),
-                parse_formula_at(formula_text, mode, len(head) - len(formula_text)))
-            steps.append(Step(statement,
-                              _parse_justification(just_text, mode, len(head) + 1)))
+            sign = _parse_sign(sign_tok, "step")
+            offset = len(head) - len(formula_text)
+            try:
+                just = _parse_justification(just_text, len(head) + 1, read)
+            except ParseError:
+                read(formula_text, offset)      # an error in the statement comes first
+                raise
+            steps.append(Step(Statement(sign, read(formula_text, offset, just)), just))
     except ParseError as exc:
         raise exc.on_line(number) from None
     if mode is None:
@@ -568,8 +618,10 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
     return mode, Inference(tuple(hypotheses), tuple(steps))
 
 
-def _parse_justification(text: str, mode: Mode, offset: int) -> Justification:
-    """The justification in `text`, which starts at `offset` of its line."""
+def _parse_justification(text: str, offset: int,
+                         read: Callable[[str, int], Formula]) -> Justification:
+    """The justification in `text`, which starts at `offset` of its line;
+    `read(text, offset)` reads the formulas of a substitution."""
     parts = text.split(None, 1)
     if not parts:
         raise ParseError("missing justification")
@@ -583,21 +635,21 @@ def _parse_justification(text: str, mode: Mode, offset: int) -> Justification:
         return Hypothesis()
     if tag in ("mp", "mt"):
         nums = rest.split()
-        if len(nums) != 2 or not all(n.isdigit() for n in nums):
+        if len(nums) != 2 or not all(n.isdecimal() for n in nums):
             raise ParseError(f"{tag} needs two step indices")
         cls = MP if tag == "mp" else MT
         return cls(int(nums[0]), int(nums[1]))
     if tag == "sb":
         sub_parts = rest.split(None, 1)
-        if not sub_parts or not sub_parts[0].isdigit():
+        if not sub_parts or not sub_parts[0].isdecimal():
             raise ParseError("sb needs a step index and a substitution")
         source = int(sub_parts[0])
         subst_text = sub_parts[1] if len(sub_parts) > 1 else "{}"
-        subst = _parse_substitution(subst_text, mode, offset + len(text) - len(subst_text))
+        subst = _parse_substitution(subst_text, offset + len(text) - len(subst_text), read)
         return Sb.of(source, subst)
     if tag in ("rs", "ns", "rn"):
         nums = rest.split()
-        if len(nums) != 1 or not nums[0].isdigit():
+        if len(nums) != 1 or not nums[0].isdecimal():
             raise ParseError(f"{tag} needs one step index")
         cls = {"rs": RS, "ns": NS, "rn": RN}[tag]
         return cls(int(nums[0]))

@@ -445,9 +445,8 @@ def prove_ipc(a: Formula) -> ProofResult:
 # --- bounded search from hypotheses ------------------------------------------
 
 
-#: Hypothesis instances, and pairs of them, tried before giving up.
+#: Hypothesis instances tried before giving up.
 _MAX_ATTEMPTS = 4000
-_MAX_PAIRS = 200
 
 _TOP = Implies(BOT, BOT)
 
@@ -500,16 +499,10 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
 
     premises = tuple(asserts(h) for h in hypotheses)
     attempts = 0
-    per_hyp: list[list[tuple[dict[str, Formula], Formula]]] = []
-    for h in hypotheses:
-        options = []
-        for subst in _instances(h, goal):
-            options.append((subst, apply_substitution(subst, h)))
-        per_hyp.append(options)
-
     # one substitution instance of one hypothesis
-    for premise, options in zip(premises, per_hyp):
-        for subst, instance in options:
+    for premise in premises:
+        for subst in _instances(premise.formula, goal):
+            instance = apply_substitution(subst, premise.formula)
             attempts += 1
             if attempts > _MAX_ATTEMPTS:
                 return None
@@ -526,24 +519,4 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
             lemma_idx = builder.splice(lemma)
             return builder.conclude(_mp(builder, lemma_idx, inst_idx))
 
-    # two instances, drawn from a reduced pool to stay within budget
-    pairs = 0
-    for i, options_i in enumerate(per_hyp):
-        for j, options_j in enumerate(per_hyp):
-            if j < i:
-                continue
-            for subst_i, inst_i in options_i[:20]:
-                for subst_j, inst_j in options_j[:20]:
-                    pairs += 1
-                    if pairs > _MAX_PAIRS:
-                        return None
-                    lemma = derive_lemma(Implies(inst_i, Implies(inst_j, goal)))
-                    if lemma is None:
-                        continue
-                    builder = ProofBuilder(premises)
-                    src_i = _substitute(builder, builder.add(premises[i], Hypothesis()), subst_i)
-                    src_j = _substitute(builder, builder.add(premises[j], Hypothesis()), subst_j)
-                    lemma_idx = builder.splice(lemma)
-                    mid = _mp(builder, lemma_idx, src_i)
-                    return builder.conclude(_mp(builder, mid, src_j))
     return None

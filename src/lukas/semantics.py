@@ -444,11 +444,11 @@ def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
                     raise ParseError("mode line must be 'mode int' or 'mode k4'")
                 mode = Mode(parts[1])
             elif parts[0] == "worlds":
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise ParseError("worlds line must be 'worlds <n>'")
                 n = int(parts[1])
             elif parts[0] == "rel":
-                if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+                if len(parts) != 3 or not parts[1].isdecimal() or not parts[2].isdecimal():
                     raise ParseError("rel line must be 'rel <i> <j>'")
                 pairs.append((int(parts[1]), int(parts[2])))
             elif parts[0] == "val":
@@ -456,7 +456,7 @@ def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
                     raise ParseError("val line must be 'val <var> <worlds...>'")
                 mask = valuation.get(parts[1], 0)
                 for tok in parts[2:]:
-                    if not tok.isdigit():
+                    if not tok.isdecimal():
                         raise ParseError(f"bad world index {tok!r}")
                     mask |= 1 << int(tok)
                 valuation[parts[1]] = mask

@@ -174,6 +174,7 @@ def test_transform_symmetry(workdir, capsys):
 def test_usage_error_exit_code(workdir, capsys):
     assert main(["valid", "nonsense formula ->"]) == 2
     assert main(["check", str(workdir / "missing.proof")]) == 2
+    assert main(["check", str(workdir)]) == 2
 
 
 @pytest.mark.parametrize("directive", ["mode", "bound", "frame"])
@@ -184,6 +185,41 @@ def test_manifest_directive_without_value_is_a_parse_error(workdir, capsys, dire
     assert main(["check", str(workdir / "ok.proof"), "--system", str(workdir / "bare.ds")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(directive) in err
+
+
+@pytest.mark.parametrize("bad, number", [
+    ("mode xyz", 1), ("bound x", 2), ("frame 1 0_0", 3), ("frame 1 0-5", 3),
+], ids=["mode", "bound", "frame-edge", "frame-range"])
+def test_manifest_value_errors_name_the_line(workdir, capsys, bad, number):
+    lines = ["mode int", "bound 3", "frame 1 0-0"]
+    lines[number - 1] = bad
+    (workdir / "bad.ds").write_text("\n".join(lines) + "\n")
+    assert main(["check", str(workdir / "ok.proof"), "--system", str(workdir / "bad.ds")]) == 2
+    err = capsys.readouterr().err
+    directive = bad.split()[0]
+    assert err.startswith(f"error: manifest directive {directive!r}")
+    assert err.rstrip().endswith(f"(at line {number})")
+
+
+@pytest.mark.parametrize("name, text, argv, stderr, record", [
+    (None, None, ["ipc", "p -> "], "error: unexpected end of input (at position 5)",
+     {"error": "unexpected end of input", "exit": 2, "position": 5}),
+    ("step.proof", "mode int\n1 + p -> ; ax\n", ["check", "{path}"],
+     "error: unexpected end of input (at line 2, column 10)",
+     {"error": "unexpected end of input", "exit": 2, "line": 2, "column": 10}),
+    ("deep.proof", "mode int\n1 + " + "~" * 5000 + "p ; ax\n", ["check", "{path}"],
+     "resource bound: formula nesting exceeds the recursion limit",
+     {"error": "formula nesting exceeds the recursion limit", "exit": 3}),
+], ids=["formula", "proof-script", "resource-bound"])
+def test_json_errors_are_records(workdir, capsys, name, text, argv, stderr, record):
+    path = workdir / (name or "unused")
+    if text is not None:
+        path.write_text(text)
+    code = main(["--format", "json"] + [a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == record["exit"]
+    assert captured.err.rstrip("\n") == stderr
+    assert json.loads(captured.out) == record
 
 
 def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
@@ -215,7 +251,11 @@ def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_mark
      "(at line 4)"),
     ("sign.ds", "mode int\nbound 1\nframe 1 0-0\n+\n",
      ["check", "{dir}/ok.proof", "--system", "{path}"], "(at line 4)"),
-], ids=["proof", "frame", "manifest"])
+    ("index.proof", "mode int\n1 + p ; ax\n2 + p ; mp 1 \u00b2\n", ["check", "{path}"],
+     "(at line 3)"),
+    ("worlds.frame", "mode int\nworlds \u00b2\n", ["valid", "--frame", "{path}", "p"],
+     "(at line 2)"),
+], ids=["proof", "frame", "manifest", "proof-index-digit", "frame-worlds-digit"])
 def test_file_parse_errors_name_the_line(workdir, capsys, name, text, argv, where):
     path = workdir / name
     path.write_text(text)

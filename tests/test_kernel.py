@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from generators import random_mixed_inference
-from lukas.formulas import Box, Mode, Var, parse_formula, render
+from lukas.formulas import Box, Mode, Var, file_lines, parse_formula, render
 from lukas.kernel import (
     IPC_AXIOMS,
     Axiom,
@@ -266,3 +267,107 @@ def test_remap_repoints_every_reference():
     assert Sb(1, (("p", Var("q")),)).remap(mapping) == Sb(5, (("p", Var("q")),))
     assert Axiom().remap(mapping) == Axiom() and Axiom().refs() == ()
     assert MP(1, 2).refs() == (1, 2) and RS(2).refs() == (2,)
+
+
+# --- the script reader ------------------------------------------------------
+#
+# The reader takes an `mp`, `mt` or `sb` statement from its premises when
+# the formula they give renders as the step's text, and parses every other
+# text.  Either way a step must read as its own text parsed.
+
+CORPUS_SCRIPTS = sorted(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "scripts").glob("*.proof"))
+
+
+def _step_texts(text):
+    """The formula text of each step line of a proof script."""
+    return [line.split(";", 1)[0].split(None, 2)[2]
+            for _number, line in file_lines(text)
+            if line.split(None, 1)[0].isdecimal()]
+
+
+def assert_steps_read_as_parsed(text):
+    mode, inf = parse_proof_script(text)
+    texts = _step_texts(text)
+    assert len(texts) == len(inf.steps)
+    for step, formula_text in zip(inf.steps, texts):
+        assert step.statement.formula is parse_formula(formula_text, mode), formula_text
+
+
+def test_corpus_steps_read_as_their_own_text():
+    assert len(CORPUS_SCRIPTS) == 320
+    for path in CORPUS_SCRIPTS:
+        assert_steps_read_as_parsed(path.read_text())
+
+
+READER_SCRIPT = """mode int
+hyp + p & q -> ~r
+hyp + p & q
+1 + p & q -> ~r ; hyp
+2 + p & q ; hyp
+3 + {mp} ; mp 1 2
+4 + {sb} ; sb 1 {{ p := {rhs} }}
+"""
+CANONICAL = {"mp": "~r", "sb": "(a -> b) & q -> ~r", "rhs": "a -> b"}
+
+
+@pytest.mark.parametrize("field, text", [
+    ("mp", "~ r"), ("mp", "(~r)"), ("mp", "¬r"), ("mp", "r -> bot"), ("mp", "((r → ⊥))"),
+    ("sb", "(a -> b)  &  q  ->  ~r"), ("sb", "((a -> b) & q) -> (~r)"),
+    ("sb", "(a → b) ∧ q → ¬r"), ("rhs", "(a → b)"), ("rhs", "  a->b  "),
+])
+def test_reader_falls_back_to_parsing_other_spellings(field, text):
+    canonical = parse_proof_script(READER_SCRIPT.format(**CANONICAL))
+    script = READER_SCRIPT.format(**{**CANONICAL, field: text})
+    assert parse_proof_script(script) == canonical
+    assert check_inference(INT, canonical[1]).ok
+    assert_steps_read_as_parsed(script)
+
+
+@pytest.mark.parametrize("lines, err", [
+    (["hyp + p & q", "hyp + p", "1 + p & q ; hyp", "2 + p ; hyp", "3 + q ; mp 1 2"],
+     "ERR 3 formula-mismatch"),
+    (["hyp + p", "1 + p -> q -> p ; ax", "2 + p ; hyp", "3 + q -> q ; mp 1 2"],
+     "ERR 3 formula-mismatch"),
+    (["hyp + p", "1 + p ; hyp", "2 + q ; mp 3 1", "3 + p -> q ; ax"],
+     "ERR 2 index-out-of-range"),
+    (["1 + p -> q -> p ; ax", "2 + a -> b -> a ; sb 3 { p := a ; q := b }",
+      "3 + p -> p ; ax"], "ERR 2 index-out-of-range"),
+    (["1 + p -> q -> p ; ax", "2 + a -> b -> a ; sb 2 { p := a ; q := b }"],
+     "ERR 2 index-out-of-range"),
+    (["1 + p -> q -> p ; ax", "2 + a -> b -> a ; sb 9 { p := a ; q := b }"],
+     "ERR 2 index-out-of-range"),
+    (["1 + p -> q -> p ; ax", "2 + a -> b -> a ; sb 0 { p := a ; q := b }"],
+     "ERR 2 index-out-of-range"),
+    (["hyp + p & q", "hyp - q", "1 + p & q ; hyp", "2 - q ; hyp", "3 - p ; mt 1 2"],
+     "ERR 3 formula-mismatch"),
+], ids=["mp-major-not-implication", "mp-text-not-major-right", "mp-forward",
+        "sb-forward", "sb-self", "sb-out-of-range", "sb-zero", "mt-major-not-implication"])
+def test_reader_leaves_bad_steps_to_the_checker(lines, err):
+    text = "mode int\n" + "\n".join(lines) + "\n"
+    assert_steps_read_as_parsed(text)
+    assert str(check_inference(INT, parse_proof_script(text)[1])) == err
+
+
+def test_reader_parses_what_is_too_deep_to_render():
+    # a left-nested chain parses without recursion, but renders with it
+    chain = " & ".join(["q"] * 1500)
+    text = (f"mode int\nhyp + p -> {chain}\nhyp + p\n"
+            f"1 + p -> {chain} ; hyp\n2 + p ; hyp\n3 + {chain} ; mp 1 2\n"
+            f"4 + {chain.replace('q', 'r')} ; sb 3 {{ q := r }}\n")
+    _, inf = parse_proof_script(text)
+    assert_steps_read_as_parsed(text)
+    assert check_inference(INT, Inference(inf.hypotheses, inf.steps[:3])).ok
+
+
+@pytest.mark.parametrize("step, column", [
+    ("2 + []p ; mp 1 1", 5),
+    ("2 + q -> p ; sb 1 { q := []q }", 26),
+])
+def test_modality_in_an_int_script_names_line_and_column(tmp_path, capsys, step, column):
+    from lukas.cli import main
+    path = tmp_path / "box.proof"
+    path.write_text(f"mode int\n1 + p -> q -> p ; ax\n{step}\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: modality not allowed in int mode (at line 3, column {column})"
