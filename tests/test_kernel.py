@@ -7,11 +7,15 @@ from generators import random_mixed_inference
 from lukas.formulas import Box, Mode, Var, file_lines, parse_formula, render
 from lukas.kernel import (
     IPC_AXIOMS,
+    AntiAxiom,
     Axiom,
     Hypothesis,
     Inference,
     MP,
+    MT,
+    NS,
     ProofBuilder,
+    RN,
     RS,
     RuleError,
     Sb,
@@ -371,3 +375,60 @@ def test_modality_in_an_int_script_names_line_and_column(tmp_path, capsys, step,
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.strip() == f"error: modality not allowed in int mode (at line 3, column {column})"
+
+
+# --- pinned verdicts --------------------------------------------------------
+#
+# The checker's verdict on every corpus script and on seeded mutations of
+# each, pinned by digest: a rewrite of the checker must give byte-identical
+# reports.
+
+VERDICT_DIGEST = "676a3f5a53cbedef4af2e5c988f491e68bf415cef832c863b54f0cdcc983365e"
+_SWAPS = (lambda a, b: Axiom(), lambda a, b: AntiAxiom(), lambda a, b: Hypothesis(),
+          MP, MT, lambda a, b: Sb(a, ()), lambda a, b: RS(a), lambda a, b: NS(a),
+          lambda a, b: RN(a))
+
+
+def _mutate(rng, inf):
+    """`inf` with one step's justification replaced, its sign flipped, or its
+    justification or statement taken from another step; or None, for the
+    unchanged inference checked in k4 mode."""
+    steps = list(inf.steps)
+    n, other = rng.randrange(len(steps)), rng.choice(steps)
+    statement, just = steps[n].statement, steps[n].justification
+    kind = rng.randrange(5)
+    if kind == 0:
+        just = rng.choice(_SWAPS)(rng.randrange(n + 3), rng.randrange(n + 3))
+    elif kind == 1:
+        statement = statement.opposite()
+    elif kind == 2:
+        just = other.justification
+    elif kind == 3:
+        statement = other.statement
+    else:
+        return None
+    steps[n] = Step(statement, just)
+    return Inference(inf.hypotheses, tuple(steps))
+
+
+def test_checker_verdicts_on_mutated_corpus_are_pinned():
+    import hashlib
+    from lukas.complete_sets import manifest_context, parse_manifest
+    manifest = CORPUS_SCRIPTS[0].parent.parent / "cpc.ds"
+    cpc, _oracle, _family = manifest_context(parse_manifest(manifest.read_text()))
+    rng = random.Random(7)
+    verdicts = []
+    for path in CORPUS_SCRIPTS:
+        _mode, inf = parse_proof_script(path.read_text())
+        verdicts.append(str(check_inference(cpc, inf)))
+        for _ in range(12):
+            mutant = _mutate(rng, inf)
+            verdicts.append(str(check_inference(cpc, mutant) if mutant
+                                else check_inference(K4, inf)))
+    assert len(verdicts) == 320 * 13
+    assert {v.split()[0] if v.startswith("OK") else v.split()[2] for v in verdicts} == {
+        "OK", "sign-mismatch", "formula-mismatch", "axiom-not-in-system",
+        "index-out-of-range", "modal-rule-in-int-mode", "hypothesis-not-present",
+        "rs-no-match"}
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert digest == VERDICT_DIGEST
