@@ -26,7 +26,7 @@ from .complete_sets import (
     render_manifest,
 )
 from .formulas import Mode, ModeError, ParseError, parse_formula, render
-from .kernel import check_inference, parse_proof_script, render_proof_script
+from .kernel import asserts, check_inference, parse_proof_script, render_proof_script, system
 from .prover import prove_ipc
 from .semantics import (
     Budget,
@@ -89,7 +89,6 @@ def cmd_check(args, out: _Output) -> int:
         if ds.mode is not mode:
             raise ValueError("proof and system modes differ")
     else:
-        from .kernel import system
         ds = system(mode)
     report = check_inference(ds, inf)
     out.verdict(str(report))
@@ -102,7 +101,6 @@ def cmd_valid(args, out: _Output) -> int:
     if args.model:
         model = parse_model_file(_read(args.model))
         formula = parse_formula(args.formula, model.frame.mode)
-        from .kernel import asserts
         ok = model_validates(model, asserts(formula))
     else:
         frame = parse_frame_file(_read(args.frame))
@@ -163,7 +161,6 @@ def cmd_ipc(args, out: _Output) -> int:
 
 def cmd_transform(args, out: _Output) -> int:
     mode, inf = parse_proof_script(_read(args.proof))
-    from .kernel import system
     if args.system:
         ds, oracle, _family = manifest_context(parse_manifest(_read(args.system)))
     elif args.frames:

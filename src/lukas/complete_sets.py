@@ -245,9 +245,9 @@ def _stability_template(ds: DeductiveSystem,
             "stability lemma is not intuitionistically derivable")
     builder = ProofBuilder()
     axiom = builder.add(asserts(two_chain.formula), Axiom())
-    premise = builder.add(asserts(instance), Sb.of(axiom, subst))
+    premise = builder.apply(Sb.of(axiom, subst))
     lemma_index = builder.splice(lemma)
-    template = builder.conclude(builder.add(asserts(target), MP(lemma_index, premise)))
+    template = builder.conclude(builder.apply(MP(lemma_index, premise)))
     report = check_inference(ds, template)
     if not report.ok:
         raise TemplateUnavailableError(f"template fails checking: {report}")
@@ -272,7 +272,7 @@ def build_positive_cpc(a: Formula) -> Inference:
         # the derivation of ~~a goes in verbatim, its closing repeat included
         builder = ProofBuilder((), derived.steps)
         stability = builder.splice(template)
-        instance = builder.add(asserts(Implies(doubled, a)), Sb.of(stability, {"p": a}))
+        instance = builder.apply(Sb.of(stability, {"p": a}))
         # +a closes by modus ponens even when the template already holds it
         # (a is the two-chain axiom or its instance)
         closing = Step(asserts(a), MP(instance, builder.index[asserts(doubled)]))

@@ -430,6 +430,12 @@ def parse_formula(text: str, mode: Mode = Mode.INT) -> Formula:
     return _Parser(text, mode).parse()
 
 
+def is_variable_name(text: str) -> bool:
+    """Whether `text` is exactly one variable name."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == "ident"
+
+
 def file_lines(text: str) -> Iterator[tuple[int, str]]:
     """The non-blank lines of a file with `#` comments and trailing blanks
     dropped, each with its 1-based number."""

@@ -1,7 +1,9 @@
 """Signed statements, deductive systems, and the inference checker.
 
 Everything downstream (transforms, axiomatizer, CLI) must push its output
-through `check_inference`; nothing else in the package is trusted.
+through `check_inference`.  The trusted base is that function and the rule
+table it reads, one justification class per rule; nothing else in the
+package is trusted.
 
 Proof scripts are a line-based text format:
 
@@ -13,11 +15,11 @@ Proof scripts are a line-based text format:
 Step numbers run consecutively from 1; rule indices point strictly backwards.
 
 The reader parses each distinct formula text once per script.  An `mp`,
-`mt` or `sb` statement is fixed by its premises, so when the formula they
-give renders as the step's text, the reader takes that formula instead of
-parsing the text; it is the very object a parse would return.  Any other
-text is parsed.  The reader trusts nothing it reads: `check_inference`
-still checks every step.
+`mt`, `sb`, `ns` or `rn` statement is fixed by its premises, so when the
+conclusion that the rule table gives renders as the step's text, the reader
+takes that formula instead of parsing the text; it is the very object a
+parse would return.  Any other text is parsed.  The reader trusts nothing
+it reads: `check_inference` still checks every step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, get_args
 
 from .formulas import (
     Box,
@@ -37,6 +39,7 @@ from .formulas import (
     apply_substitution,
     check_mode,
     file_lines,
+    is_variable_name,
     match_instance,
     parse_formula,
     parse_formula_at,
@@ -75,99 +78,158 @@ def rejects(a: Formula) -> Statement:
     return Statement(Sign.REJECT, a)
 
 
-# --- justifications --------------------------------------------------------
+# --- justifications: the rule table ---------------------------------------
 #
-# Every justification names the earlier steps it rests on (`refs`) and can
-# re-point them through an old-to-new index map (`remap`).
+# Each justification class states its rule once, and the checker, the script
+# reader and writer, and the transforms all read it: the rule's script `tag`;
+# the `arity` of the earlier steps it rests on (`refs`, re-pointed by
+# `remap`); the `signs` of its premises and then of its conclusion, or None
+# when either sign will do; whether it is `modal`, that is, only K4-mode
+# systems have it; and what makes a step under it sound.  A rule that fixes
+# its conclusion gives it by `conclusion`, or None when the premises do not
+# fit, and a step under it `holds` when its formula is that conclusion; the
+# other rules test membership or a match in `holds`.  A step that does not
+# hold fails with the rule's `fault`.
 
 
-class _NoPremise:
+class _Rule:
+    tag: ClassVar[str]
+    arity: ClassVar[int] = 0
+    signs: ClassVar[Optional[tuple[Sign, ...]]]
+    modal: ClassVar[bool] = False
+    fault: ClassVar[str] = "formula-mismatch"
+
     def refs(self) -> tuple[int, ...]:
         return ()
 
     def remap(self, mapping: Mapping[int, int]) -> "Justification":
-        return self
+        return type(self)(*(mapping[r] for r in self.refs()))
+
+    def conclusion(self, *premises: Formula) -> Optional[Formula]:
+        return None
+
+    def holds(self, ds: "DeductiveSystem", hyps: set[Statement],
+              statement: Statement, premises: Sequence[Formula]) -> bool:
+        return self.conclusion(*premises) == statement.formula
 
 
 @dataclass(frozen=True)
-class _OnePremise:
+class _OnePremise(_Rule):
     source: int
+    arity = 1
 
     def refs(self) -> tuple[int, ...]:
         return (self.source,)
 
-    def remap(self, mapping: Mapping[int, int]) -> "Justification":
-        return type(self)(mapping[self.source])
-
 
 @dataclass(frozen=True)
-class _TwoPremises:
+class _TwoPremises(_Rule):
     major: int
     minor: int
+    arity = 2
 
     def refs(self) -> tuple[int, ...]:
         return (self.major, self.minor)
 
-    def remap(self, mapping: Mapping[int, int]) -> "Justification":
-        return type(self)(mapping[self.major], mapping[self.minor])
+
+@dataclass(frozen=True)
+class Axiom(_Rule):
+    tag = "ax"
+    signs = (Sign.ASSERT,)
+    fault = "axiom-not-in-system"
+
+    def holds(self, ds, hyps, statement, premises):
+        return ds.is_positive_axiom(statement.formula)
 
 
 @dataclass(frozen=True)
-class Axiom(_NoPremise):
-    pass
+class AntiAxiom(_Rule):
+    tag = "antiax"
+    signs = (Sign.REJECT,)
+    fault = "axiom-not-in-system"
+
+    def holds(self, ds, hyps, statement, premises):
+        return ds.is_anti_axiom(statement.formula)
 
 
 @dataclass(frozen=True)
-class AntiAxiom(_NoPremise):
-    pass
+class Hypothesis(_Rule):
+    tag = "hyp"
+    signs = None
+    fault = "hypothesis-not-present"
 
-
-@dataclass(frozen=True)
-class Hypothesis(_NoPremise):
-    pass
+    def holds(self, ds, hyps, statement, premises):
+        return statement in hyps
 
 
 @dataclass(frozen=True)
 class MP(_TwoPremises):
-    pass
+    tag = "mp"
+    signs = (Sign.ASSERT, Sign.ASSERT, Sign.ASSERT)
+
+    def conclusion(self, major, minor):
+        return major.right if isinstance(major, Implies) and major.left == minor else None
 
 
 @dataclass(frozen=True)
 class Sb(_OnePremise):
     mapping: tuple[tuple[str, Formula], ...]
+    tag = "sb"
+    signs = (Sign.ASSERT, Sign.ASSERT)
 
     @staticmethod
     def of(source: int, subst: Substitution) -> "Sb":
         return Sb(source, tuple(sorted(subst.items())))
 
-    def substitution(self) -> dict[str, Formula]:
-        return dict(self.mapping)
-
     def remap(self, mapping: Mapping[int, int]) -> "Sb":
         return Sb(mapping[self.source], self.mapping)
+
+    def conclusion(self, source):
+        return apply_substitution(dict(self.mapping), source)
 
 
 @dataclass(frozen=True)
 class MT(_TwoPremises):
-    pass
+    tag = "mt"
+    signs = (Sign.ASSERT, Sign.REJECT, Sign.REJECT)
+
+    def conclusion(self, major, minor):
+        return major.left if isinstance(major, Implies) and major.right == minor else None
 
 
 @dataclass(frozen=True)
 class RS(_OnePremise):
-    pass
+    tag = "rs"
+    signs = (Sign.REJECT, Sign.REJECT)
+    fault = "rs-no-match"
+
+    def holds(self, ds, hyps, statement, premises):
+        return match_instance(statement.formula, premises[0]) is not None
 
 
 @dataclass(frozen=True)
 class NS(_OnePremise):
-    pass
+    tag = "ns"
+    signs = (Sign.ASSERT, Sign.ASSERT)
+    modal = True
+
+    def conclusion(self, source):
+        return Box(source)
 
 
 @dataclass(frozen=True)
 class RN(_OnePremise):
-    pass
+    tag = "rn"
+    signs = (Sign.REJECT, Sign.REJECT)
+    modal = True
+
+    def conclusion(self, source):
+        return source.inner if isinstance(source, Box) else None
 
 
 Justification = Axiom | AntiAxiom | Hypothesis | MP | Sb | MT | RS | NS | RN
+
+_RULES: dict[str, type[_Rule]] = {rule.tag: rule for rule in get_args(Justification)}
 
 
 @dataclass(frozen=True)
@@ -231,6 +293,12 @@ class ProofBuilder:
         n = len(self.steps)
         self.index[statement] = n
         return n
+
+    def apply(self, just: Justification) -> int:
+        """`add` the conclusion that the rule of `just` draws from its premises."""
+        conclusion = just.conclusion(*(self.steps[r - 1].statement.formula for r in just.refs()))
+        assert conclusion is not None and just.signs is not None, f"{just} does not apply"
+        return self.add(Statement(just.signs[-1], conclusion), just)
 
     def splice(self, inf: Inference, upto: Optional[int] = None,
                mapping: Optional[dict[int, int]] = None) -> int:
@@ -354,161 +422,39 @@ def _fail(step: int, reason: str) -> CheckReport:
 
 
 def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
-    """Verify every step against its justification; report the first failure."""
+    """Verify every step against its rule; report the first failure."""
     steps = inf.steps
     if not steps:
         return _fail(0, "empty-inference")
     hyps = set(inf.hypotheses)
 
-    def stmt(i: int) -> Statement:
-        return steps[i - 1].statement
-
     for n, step in enumerate(steps, start=1):
         st, just = step.statement, step.justification
-
         if ds.mode is Mode.INT and st.formula.boxed:
             return _fail(n, "modal-formula-in-int-mode")
-
         if not isinstance(just, Justification):
             return _fail(n, "unknown-justification")
-        if any(r < 1 or r >= n for r in just.refs()):
+        refs = just.refs()
+        if any(r < 1 or r >= n for r in refs):
             return _fail(n, "index-out-of-range")
-
-        if isinstance(just, Axiom):
-            if st.sign is not Sign.ASSERT:
-                return _fail(n, "sign-mismatch")
-            if not ds.is_positive_axiom(st.formula):
-                return _fail(n, "axiom-not-in-system")
-        elif isinstance(just, AntiAxiom):
-            if st.sign is not Sign.REJECT:
-                return _fail(n, "sign-mismatch")
-            if not ds.is_anti_axiom(st.formula):
-                return _fail(n, "axiom-not-in-system")
-        elif isinstance(just, Hypothesis):
-            if st not in hyps:
-                return _fail(n, "hypothesis-not-present")
-        elif isinstance(just, MP):
-            major, minor = stmt(just.major), stmt(just.minor)
-            if major.sign is not Sign.ASSERT or minor.sign is not Sign.ASSERT or st.sign is not Sign.ASSERT:
-                return _fail(n, "sign-mismatch")
-            if not isinstance(major.formula, Implies):
-                return _fail(n, "formula-mismatch")
-            if major.formula.left != minor.formula or major.formula.right != st.formula:
-                return _fail(n, "formula-mismatch")
-        elif isinstance(just, Sb):
-            source = stmt(just.source)
-            if source.sign is not Sign.ASSERT or st.sign is not Sign.ASSERT:
-                return _fail(n, "sign-mismatch")
-            if apply_substitution(just.substitution(), source.formula) != st.formula:
-                return _fail(n, "formula-mismatch")
-        elif isinstance(just, MT):
-            major, minor = stmt(just.major), stmt(just.minor)
-            if major.sign is not Sign.ASSERT or minor.sign is not Sign.REJECT or st.sign is not Sign.REJECT:
-                return _fail(n, "sign-mismatch")
-            if not isinstance(major.formula, Implies):
-                return _fail(n, "formula-mismatch")
-            if major.formula.right != minor.formula or major.formula.left != st.formula:
-                return _fail(n, "formula-mismatch")
-        elif isinstance(just, RS):
-            source = stmt(just.source)
-            if source.sign is not Sign.REJECT or st.sign is not Sign.REJECT:
-                return _fail(n, "sign-mismatch")
-            if match_instance(st.formula, source.formula) is None:
-                return _fail(n, "rs-no-match")
-        elif isinstance(just, NS):
-            if ds.mode is not Mode.K4:
-                return _fail(n, "modal-rule-in-int-mode")
-            source = stmt(just.source)
-            if source.sign is not Sign.ASSERT or st.sign is not Sign.ASSERT:
-                return _fail(n, "sign-mismatch")
-            if st.formula != Box(source.formula):
-                return _fail(n, "formula-mismatch")
-        else:  # RN
-            if ds.mode is not Mode.K4:
-                return _fail(n, "modal-rule-in-int-mode")
-            source = stmt(just.source)
-            if source.sign is not Sign.REJECT or st.sign is not Sign.REJECT:
-                return _fail(n, "sign-mismatch")
-            if source.formula != Box(st.formula):
-                return _fail(n, "formula-mismatch")
+        if just.modal and ds.mode is not Mode.K4:
+            return _fail(n, "modal-rule-in-int-mode")
+        premises = [steps[r - 1].statement for r in refs]
+        if just.signs is not None and (*(p.sign for p in premises), st.sign) != just.signs:
+            return _fail(n, "sign-mismatch")
+        if not just.holds(ds, hyps, st, [p.formula for p in premises]):
+            return _fail(n, just.fault)
 
     return CheckReport(ok=True, conclusion=steps[-1].statement)
-
-
-class RuleError(ValueError):
-    """Premises do not fit the requested rule shape."""
-
-
-def apply_rule(ds: DeductiveSystem,
-               rule: str,
-               premises: Sequence[Statement],
-               payload: Union[Substitution, Formula, None] = None) -> Statement:
-    """Forward application of one rule; returns exactly the statement the
-    checker would accept for the matching justification."""
-    if rule == "mp":
-        if len(premises) != 2:
-            raise RuleError("mp takes two premises")
-        major, minor = premises
-        if major.sign is not Sign.ASSERT or minor.sign is not Sign.ASSERT:
-            raise RuleError("mp premises must be assertions")
-        if not isinstance(major.formula, Implies) or major.formula.left != minor.formula:
-            raise RuleError("mp premises do not match")
-        return asserts(major.formula.right)
-    if rule == "sb":
-        if len(premises) != 1 or not isinstance(payload, dict):
-            raise RuleError("sb takes one premise and a substitution payload")
-        (premise,) = premises
-        if premise.sign is not Sign.ASSERT:
-            raise RuleError("sb premise must be an assertion")
-        return asserts(apply_substitution(payload, premise.formula))
-    if rule == "mt":
-        if len(premises) != 2:
-            raise RuleError("mt takes two premises")
-        major, minor = premises
-        if major.sign is not Sign.ASSERT or minor.sign is not Sign.REJECT:
-            raise RuleError("mt premises must be an assertion and a rejection")
-        if not isinstance(major.formula, Implies) or major.formula.right != minor.formula:
-            raise RuleError("mt premises do not match")
-        return rejects(major.formula.left)
-    if rule == "rs":
-        if len(premises) != 1 or not isinstance(payload, Formula):
-            raise RuleError("rs takes one premise and a pattern payload")
-        (premise,) = premises
-        if premise.sign is not Sign.REJECT:
-            raise RuleError("rs premise must be a rejection")
-        if match_instance(payload, premise.formula) is None:
-            raise RuleError("premise is not an instance of the pattern")
-        return rejects(payload)
-    if rule == "ns":
-        if ds.mode is not Mode.K4:
-            raise RuleError("ns is a modal rule")
-        if len(premises) != 1:
-            raise RuleError("ns takes one premise")
-        (premise,) = premises
-        if premise.sign is not Sign.ASSERT:
-            raise RuleError("ns premise must be an assertion")
-        return asserts(Box(premise.formula))
-    if rule == "rn":
-        if ds.mode is not Mode.K4:
-            raise RuleError("rn is a modal rule")
-        if len(premises) != 1:
-            raise RuleError("rn takes one premise")
-        (premise,) = premises
-        if premise.sign is not Sign.REJECT or not isinstance(premise.formula, Box):
-            raise RuleError("rn premise must be a rejected box formula")
-        return rejects(premise.formula.inner)
-    raise RuleError(f"unknown rule {rule!r}")
 
 
 # --- proof script I/O ------------------------------------------------------
 
 
 def _parse_sign(token: str, where: str) -> Sign:
-    if token == "+":
-        return Sign.ASSERT
-    if token == "-":
-        return Sign.REJECT
-    raise ParseError(f"expected + or - in {where}")
+    if token not in ("+", "-"):
+        raise ParseError(f"expected + or - in {where}")
+    return Sign(token)
 
 
 def _parse_substitution(text: str, offset: int,
@@ -522,32 +468,30 @@ def _parse_substitution(text: str, offset: int,
     for part in text[1:-1].split(";"):
         if ":=" in part:
             name, rhs = part.split(":=", 1)
-            subst[name.strip()] = read(rhs, start + len(name) + 2)
+            key, column = name.strip(), start + len(name) - len(name.lstrip()) + 1
+            if not is_variable_name(key):
+                raise ParseError(f"substitution entry {key!r} is not a variable name",
+                                 column=column)
+            if key in subst:
+                raise ParseError(f"substitution names {key!r} twice", column=column)
+            subst[key] = read(rhs, start + len(name) + 2)
         elif part.strip():
             raise ParseError(f"bad substitution entry {part.strip()!r}")
         start += len(part) + 1
     return subst
 
 
-def _given(just: Justification, steps: Sequence[Step], text: str) -> Optional[Formula]:
-    """The formula that the premises of an `mp`, `mt` or `sb` step give, if
-    they are earlier steps, an `mp` or `mt` major premise is an implication,
-    and the formula renders as `text`; otherwise None."""
-    if isinstance(just, (MP, MT)):
-        if not 0 < just.major <= len(steps):
-            return None
-        major = steps[just.major - 1].statement.formula
-        if not isinstance(major, Implies):
-            return None
-        formula = major.right if isinstance(just, MP) else major.left
-    elif isinstance(just, Sb) and 0 < just.source <= len(steps):
-        formula = steps[just.source - 1].statement.formula
-    else:
+def _given(just: Justification, steps: Sequence[Step], mode: Mode,
+           text: str) -> Optional[Formula]:
+    """The conclusion that the premises of `just` give, if its rule fixes
+    one, the mode has the rule, the premises are earlier steps, and the
+    conclusion renders as `text`; otherwise None."""
+    refs = just.refs()
+    if (just.modal and mode is not Mode.K4) or not all(0 < r <= len(steps) for r in refs):
         return None
     try:
-        if isinstance(just, Sb):
-            formula = apply_substitution(just.substitution(), formula)
-        return formula if render(formula) == text else None
+        formula = just.conclusion(*(steps[r - 1].statement.formula for r in refs))
+        return formula if formula is not None and render(formula) == text else None
     except RecursionError:      # a long left-nested chain parses, but is too deep to walk
         return None
 
@@ -567,7 +511,7 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
         formula = parsed.get(key)
         if formula is None:
             if just is not None:
-                formula = _given(just, steps, key)
+                formula = _given(just, steps, mode, key)
             if formula is None:
                 formula = parse_formula_at(formula_text, mode, offset)
             parsed[key] = formula
@@ -627,58 +571,29 @@ def _parse_justification(text: str, offset: int,
         raise ParseError("missing justification")
     tag = parts[0]
     rest = parts[1] if len(parts) > 1 else ""
-    if tag == "ax":
-        return Axiom()
-    if tag == "antiax":
-        return AntiAxiom()
-    if tag == "hyp":
-        return Hypothesis()
-    if tag in ("mp", "mt"):
-        nums = rest.split()
-        if len(nums) != 2 or not all(n.isdecimal() for n in nums):
-            raise ParseError(f"{tag} needs two step indices")
-        cls = MP if tag == "mp" else MT
-        return cls(int(nums[0]), int(nums[1]))
-    if tag == "sb":
+    rule = _RULES.get(tag)
+    if rule is None:
+        raise ParseError(f"unknown justification {tag!r}")
+    if rule is Sb:
         sub_parts = rest.split(None, 1)
         if not sub_parts or not sub_parts[0].isdecimal():
             raise ParseError("sb needs a step index and a substitution")
-        source = int(sub_parts[0])
         subst_text = sub_parts[1] if len(sub_parts) > 1 else "{}"
         subst = _parse_substitution(subst_text, offset + len(text) - len(subst_text), read)
-        return Sb.of(source, subst)
-    if tag in ("rs", "ns", "rn"):
-        nums = rest.split()
-        if len(nums) != 1 or not nums[0].isdecimal():
-            raise ParseError(f"{tag} needs one step index")
-        cls = {"rs": RS, "ns": NS, "rn": RN}[tag]
-        return cls(int(nums[0]))
-    raise ParseError(f"unknown justification {tag!r}")
+        return Sb.of(int(sub_parts[0]), subst)
+    nums = rest.split()
+    if len(nums) != rule.arity or not all(n.isdecimal() for n in nums):
+        noun = "index" if rule.arity == 1 else "indices"
+        raise ParseError(f"{tag} takes {rule.arity} step {noun}")
+    return rule(*map(int, nums))
 
 
 def _render_justification(just: Justification) -> str:
-    if isinstance(just, Axiom):
-        return "ax"
-    if isinstance(just, AntiAxiom):
-        return "antiax"
-    if isinstance(just, Hypothesis):
-        return "hyp"
-    if isinstance(just, MP):
-        return f"mp {just.major} {just.minor}"
+    text = " ".join([just.tag, *map(str, just.refs())])
     if isinstance(just, Sb):
-        if not just.mapping:
-            return f"sb {just.source} {{ }}"
         entries = " ; ".join(f"{name} := {render(f)}" for name, f in just.mapping)
-        return f"sb {just.source} {{ {entries} }}"
-    if isinstance(just, MT):
-        return f"mt {just.major} {just.minor}"
-    if isinstance(just, RS):
-        return f"rs {just.source}"
-    if isinstance(just, NS):
-        return f"ns {just.source}"
-    if isinstance(just, RN):
-        return f"rn {just.source}"
-    raise TypeError(f"unknown justification {just!r}")
+        text += f" {{ {entries} }}" if entries else " { }"
+    return text
 
 
 def render_proof_script(mode: Mode, inf: Inference) -> str:

@@ -346,13 +346,6 @@ def _substitute(builder: ProofBuilder, source: int, subst: Substitution) -> int:
     return builder.add(asserts(target), Sb.of(source, subst))
 
 
-def _mp(builder: ProofBuilder, major: int, minor: int) -> int:
-    major_f = builder.steps[major - 1].statement.formula
-    minor_f = builder.steps[minor - 1].statement.formula
-    assert isinstance(major_f, Implies) and major_f.left == minor_f
-    return builder.add(asserts(major_f.right), MP(major, minor))
-
-
 def _load_term(builder: ProofBuilder, term: Term) -> int:
     if isinstance(term, TmConst):
         base = IPC_AXIOMS[term.axiom]
@@ -365,7 +358,7 @@ def _load_term(builder: ProofBuilder, term: Term) -> int:
     if isinstance(term, TmApp):
         major = _load_term(builder, term.fun)
         minor = _load_term(builder, term.arg)
-        return _mp(builder, major, minor)
+        return builder.apply(MP(major, minor))
     raise AssertionError(f"open or unelaborated term: {term!r}")
 
 
@@ -517,6 +510,6 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
             source = builder.add(premise, Hypothesis())
             inst_idx = _substitute(builder, source, subst)
             lemma_idx = builder.splice(lemma)
-            return builder.conclude(_mp(builder, lemma_idx, inst_idx))
+            return builder.conclude(builder.apply(MP(lemma_idx, inst_idx)))
 
     return None

@@ -82,9 +82,6 @@ class Frame:
                     if j != i and self.rel[j] & (1 << i):
                         raise ValueError("int-mode relation must be antisymmetric")
 
-    def successors(self, w: int) -> int:
-        return self.rel[w]
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -434,8 +431,10 @@ def parse_model_file(text: str) -> KripkeModel:
 def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
     mode: Optional[Mode] = None
     n: Optional[int] = None
-    pairs: list[tuple[int, int]] = []
-    valuation: dict[str, int] = {}
+    # world indices with the number of the line that names them, checked
+    # against `n` once the file is read, since `worlds` may come later
+    edges: list[tuple[int, int, int]] = []
+    marks: list[tuple[int, str, list[int]]] = []
     try:
         for number, line in file_lines(text):
             parts = line.split()
@@ -450,23 +449,32 @@ def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
             elif parts[0] == "rel":
                 if len(parts) != 3 or not parts[1].isdecimal() or not parts[2].isdecimal():
                     raise ParseError("rel line must be 'rel <i> <j>'")
-                pairs.append((int(parts[1]), int(parts[2])))
+                edges.append((number, int(parts[1]), int(parts[2])))
             elif parts[0] == "val":
                 if len(parts) < 2:
                     raise ParseError("val line must be 'val <var> <worlds...>'")
-                mask = valuation.get(parts[1], 0)
                 for tok in parts[2:]:
                     if not tok.isdecimal():
                         raise ParseError(f"bad world index {tok!r}")
-                    mask |= 1 << int(tok)
-                valuation[parts[1]] = mask
+                marks.append((number, parts[1], [int(tok) for tok in parts[2:]]))
             else:
                 raise ParseError(f"unknown directive {parts[0]!r}")
     except ParseError as exc:
         raise exc.on_line(number) from None
     if mode is None or n is None:
         raise ParseError("frame file needs 'mode' and 'worlds' lines")
-    return frame_from_pairs(mode, n, pairs), valuation
+    for number, i, j in edges:
+        if i >= n or j >= n:
+            raise ParseError(f"edge ({i},{j}) out of range", line=number)
+    valuation: dict[str, int] = {}
+    for number, name, worlds in marks:
+        if any(w >= n for w in worlds):
+            raise ParseError(f"valuation of {name} mentions missing worlds", line=number)
+        mask = valuation.get(name, 0)
+        for w in worlds:
+            mask |= 1 << w
+        valuation[name] = mask
+    return frame_from_pairs(mode, n, [(i, j) for _, i, j in edges]), valuation
 
 
 def render_frame_file(frame: Frame) -> str:

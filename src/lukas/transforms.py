@@ -75,7 +75,8 @@ def extract_positive(inf: Inference) -> Inference:
     for old, step in enumerate(inf.steps, start=1):
         if step.statement.sign is not Sign.ASSERT:
             continue
-        if not isinstance(step.justification, (Axiom, Hypothesis, MP, Sb, NS)):
+        signs = step.justification.signs
+        if signs is not None and signs[-1] is not Sign.ASSERT:
             raise TransformError(
                 f"positive step {old} carries a rejection-rule justification")
         kept.append(Step(step.statement, step.justification.remap(mapping)))
@@ -86,6 +87,8 @@ def extract_positive(inf: Inference) -> Inference:
 # --- the refutation transformer ----------------------------------------------
 
 _TOP = Implies(BOT, BOT)
+#: The rule that rejects the premise of a one-premise positive rule.
+_REVERSE = {Sb: RS, NS: RN}
 _POINT = point_frame()
 
 
@@ -149,25 +152,21 @@ def symmetry_transform(ds: DeductiveSystem,
         if isinstance(just, Axiom):
             raise OracleInconsistencyError(
                 f"axiom {render(formula)} reached with an underivable target")
-        if isinstance(just, Sb):
+        reverse = _REVERSE.get(type(just))
+        if reverse is not None:
             source = inf.steps[just.source - 1].statement.formula
-            rejected = builder.add(rejects(source), RS(rejected_index))
-            return recurse(just.source, rejected)
-        if isinstance(just, NS):
-            source = inf.steps[just.source - 1].statement.formula
-            rejected = builder.add(rejects(source), RN(rejected_index))
+            rejected = builder.add(rejects(source), reverse(rejected_index))
             return recurse(just.source, rejected)
         if isinstance(just, MP):
             major = inf.steps[just.major - 1].statement.formula
             minor = inf.steps[just.minor - 1].statement.formula
-            assert isinstance(major, Implies) and major.left == minor \
-                and major.right == formula
+            assert just.conclusion(major, minor) == formula
             if derivable(major):
                 if derivable(minor):
                     raise OracleInconsistencyError(
                         "oracle derives both premises of an underivable conclusion")
                 major_index = splice_derivable(just.major, major)
-                rejected = builder.add(rejects(minor), MT(major_index, rejected_index))
+                rejected = builder.apply(MT(major_index, rejected_index))
                 return recurse(just.minor, rejected)
             return _transfer(target_index, rejected_index, just, major, minor, formula)
         raise TransformError(f"unsupported justification on a positive step: {just!r}")
@@ -185,8 +184,7 @@ def symmetry_transform(ds: DeductiveSystem,
             if lemma is None:
                 return None
             lemma_index = builder.splice(lemma)
-            rejected_instance = builder.add(
-                rejects(instance), MT(lemma_index, rejected_index))
+            rejected_instance = builder.apply(MT(lemma_index, rejected_index))
             if instance == lemma_target:
                 rejected = rejected_instance
             else:
@@ -231,12 +229,9 @@ def symmetry_transform(ds: DeductiveSystem,
         if derivable(minor):
             minor_index = splice_derivable(just.minor, minor)
             template_index = builder.splice(_apply_template())
-            instance = Implies(minor, Implies(major, formula))
-            inst_index = builder.add(
-                asserts(instance), Sb.of(template_index, {"p": minor, "q": formula}))
-            peeled = builder.add(asserts(Implies(major, formula)),
-                                 MP(inst_index, minor_index))
-            rejected = builder.add(rejects(major), MT(peeled, rejected_index))
+            inst_index = builder.apply(Sb.of(template_index, {"p": minor, "q": formula}))
+            peeled = builder.apply(MP(inst_index, minor_index))
+            rejected = builder.apply(MT(peeled, rejected_index))
             return recurse(just.major, rejected)
         raise SymmetryDefectError(
             f"cannot transfer the rejection of {render(formula)} to {render(major)}")

@@ -1,9 +1,9 @@
 """Seeded random generators shared by the fuzz tests and the acceptance
-suite: random formulas, random mixed-sign inferences built forward through
-`apply_rule`, and positive hypothesis-rooted inferences shaped so that the
-refutation transformer is applicable.  Also a truth-table evaluator that
-does not go through `lukas.semantics`, as an independent classical
-reference.
+suite: random formulas, random mixed-sign inferences built forward (each
+rule's conclusion computed here, not by the kernel's rule table), and
+positive hypothesis-rooted inferences shaped so that the refutation
+transformer is applicable.  Also a truth-table evaluator that does not go
+through `lukas.semantics`, as an independent classical reference.
 """
 
 from __future__ import annotations

@@ -255,7 +255,21 @@ def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_mark
      "(at line 3)"),
     ("worlds.frame", "mode int\nworlds \u00b2\n", ["valid", "--frame", "{path}", "p"],
      "(at line 2)"),
-], ids=["proof", "frame", "manifest", "proof-index-digit", "frame-worlds-digit"])
+    ("range.frame", "mode int\nworlds 2\nrel 0 5\n", ["valid", "--frame", "{path}", "p"],
+     "(at line 3)"),
+    ("range.model", "mode int\nworlds 2\nval p 9\n", ["valid", "--model", "{path}", "p"],
+     "(at line 3)"),
+    ("name.proof", "mode int\n1 + p -> q -> p ; ax\n2 + r -> q -> r ; sb 1 { 1x := r }\n",
+     ["check", "{path}"], "(at line 3, column 26)"),
+    ("names.proof", "mode int\n1 + p -> q -> p ; ax\n2 + r -> q -> r ; sb 1 { p q := r }\n",
+     ["check", "{path}"], "(at line 3, column 26)"),
+    ("twice.proof",
+     "mode int\n1 + p -> q -> p ; ax\n2 + r -> q -> r ; sb 1 { p := r ; p := s }\n",
+     ["check", "{path}"], "(at line 3, column 35)"),
+    ("arity.proof", "mode int\n1 + p -> q -> p ; ax 1\n", ["check", "{path}"], "(at line 2)"),
+], ids=["proof", "frame", "manifest", "proof-index-digit", "frame-worlds-digit",
+        "frame-rel-range", "model-val-range", "sb-name-not-a-variable", "sb-name-two-words",
+        "sb-name-twice", "ax-with-index"])
 def test_file_parse_errors_name_the_line(workdir, capsys, name, text, argv, where):
     path = workdir / name
     path.write_text(text)

@@ -17,10 +17,8 @@ from lukas.kernel import (
     ProofBuilder,
     RN,
     RS,
-    RuleError,
     Sb,
     Step,
-    apply_rule,
     asserts,
     check_inference,
     parse_proof_script,
@@ -118,38 +116,11 @@ def test_modal_rules_refused_in_int_mode():
     assert check_inference(INT, boxfree).reason == "modal-rule-in-int-mode"
 
 
-def test_apply_rule_table():
-    mt = apply_rule(INT, "mt", [asserts(parse_formula("p -> q")), rejects(Var("q"))])
-    assert mt == rejects(Var("p"))
-    ns = apply_rule(K4, "ns", [asserts(Var("p"))])
-    assert ns == asserts(Box(Var("p")))
-    pattern = parse_formula("p -> (q -> p)")
-    instance = rejects(parse_formula("a -> (b -> a)"))
-    assert apply_rule(INT, "rs", [instance], pattern) == rejects(pattern)
-    with pytest.raises(RuleError):
-        apply_rule(INT, "ns", [asserts(Var("p"))])
-    with pytest.raises(RuleError):
-        apply_rule(INT, "mp", [asserts(Var("p")), asserts(Var("q"))])
-
-
 def test_checker_forward_agreement():
     rng = random.Random(3)
     for _ in range(150):
         inf = random_mixed_inference(rng, INT, length=rng.randrange(2, 12))
         assert check_inference(INT, inf).ok
-
-
-def test_forward_replay_of_accepted_inference():
-    inf = _mp_example()
-    statements = {}
-    for n, step in enumerate(inf.steps, 1):
-        just = step.justification
-        if isinstance(just, Axiom) or isinstance(just, Hypothesis):
-            statements[n] = step.statement
-        elif isinstance(just, MP):
-            statements[n] = apply_rule(
-                INT, "mp", [statements[just.major], statements[just.minor]])
-        assert statements[n] == step.statement
 
 
 def test_monotonicity_in_hypotheses():
@@ -353,6 +324,27 @@ def test_reader_leaves_bad_steps_to_the_checker(lines, err):
     assert str(check_inference(INT, parse_proof_script(text)[1])) == err
 
 
+def test_reader_takes_modal_conclusions_in_k4():
+    text = ("mode k4\nhyp - [](p & q)\n1 + p -> q -> p ; ax\n2 + [](p -> q -> p) ; ns 1\n"
+            "3 + [][](p -> q -> p) ; ns 2\n4 - [](p & q) ; hyp\n5 - p & q ; rn 4\n"
+            "6 - p & q ; rn 3\n")
+    assert_steps_read_as_parsed(text)
+    assert str(check_inference(K4, parse_proof_script(text)[1])) == "ERR 6 sign-mismatch"
+
+
+def test_builder_applies_a_rule_to_the_steps_it_names():
+    hyp = rejects(parse_formula("b -> a"))
+    builder = ProofBuilder((hyp,))
+    axiom = builder.add(asserts(parse_formula("p -> (q -> p)")), Axiom())
+    instance = builder.apply(Sb.of(axiom, {"p": Var("a"), "q": Var("b")}))
+    assert builder.steps[instance - 1].statement == asserts(parse_formula("a -> b -> a"))
+    rejected = builder.add(hyp, Hypothesis())
+    conclusion = builder.apply(MT(instance, rejected))
+    assert builder.steps[conclusion - 1].statement == rejects(Var("a"))
+    assert builder.apply(MT(instance, rejected)) == conclusion == len(builder.steps)
+    assert check_inference(INT, builder.conclude(conclusion)).ok
+
+
 def test_reader_parses_what_is_too_deep_to_render():
     # a left-nested chain parses without recursion, but renders with it
     chain = " & ".join(["q"] * 1500)
@@ -367,6 +359,7 @@ def test_reader_parses_what_is_too_deep_to_render():
 @pytest.mark.parametrize("step, column", [
     ("2 + []p ; mp 1 1", 5),
     ("2 + q -> p ; sb 1 { q := []q }", 26),
+    ("2 + [](p -> q -> p) ; ns 1", 5),
 ])
 def test_modality_in_an_int_script_names_line_and_column(tmp_path, capsys, step, column):
     from lukas.cli import main
