@@ -452,9 +452,11 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
 
 
 def _parse_sign(token: str, where: str) -> Sign:
-    if token not in ("+", "-"):
-        raise ParseError(f"expected + or - in {where}")
-    return Sign(token)
+    if token == "+":
+        return Sign.ASSERT
+    if token == "-":
+        return Sign.REJECT
+    raise ParseError(f"expected + or - in {where}")
 
 
 def _parse_substitution(text: str, offset: int,
@@ -468,12 +470,11 @@ def _parse_substitution(text: str, offset: int,
     for part in text[1:-1].split(";"):
         if ":=" in part:
             name, rhs = part.split(":=", 1)
-            key, column = name.strip(), start + len(name) - len(name.lstrip()) + 1
-            if not is_variable_name(key):
-                raise ParseError(f"substitution entry {key!r} is not a variable name",
-                                 column=column)
-            if key in subst:
-                raise ParseError(f"substitution names {key!r} twice", column=column)
+            key = name.strip()
+            if key in subst or not is_variable_name(key):
+                fault = "repeats an earlier entry" if key in subst else "is not a variable name"
+                raise ParseError(f"substitution entry {key!r} {fault}",
+                                 column=start + len(name) - len(name.lstrip()) + 1)
             subst[key] = read(rhs, start + len(name) + 2)
         elif part.strip():
             raise ParseError(f"bad substitution entry {part.strip()!r}")
@@ -486,11 +487,11 @@ def _given(just: Justification, steps: Sequence[Step], mode: Mode,
     """The conclusion that the premises of `just` give, if its rule fixes
     one, the mode has the rule, the premises are earlier steps, and the
     conclusion renders as `text`; otherwise None."""
-    refs = just.refs()
-    if (just.modal and mode is not Mode.K4) or not all(0 < r <= len(steps) for r in refs):
+    premises = [steps[r - 1].statement.formula for r in just.refs() if 0 < r <= len(steps)]
+    if len(premises) < just.arity or (just.modal and mode is not Mode.K4):
         return None
     try:
-        formula = just.conclusion(*(steps[r - 1].statement.formula for r in refs))
+        formula = just.conclusion(*premises)
         return formula if formula is not None and render(formula) == text else None
     except RecursionError:      # a long left-nested chain parses, but is too deep to walk
         return None
@@ -582,7 +583,7 @@ def _parse_justification(text: str, offset: int,
         subst = _parse_substitution(subst_text, offset + len(text) - len(subst_text), read)
         return Sb.of(int(sub_parts[0]), subst)
     nums = rest.split()
-    if len(nums) != rule.arity or not all(n.isdecimal() for n in nums):
+    if len(nums) != rule.arity or not all(map(str.isdecimal, nums)):
         noun = "index" if rule.arity == 1 else "indices"
         raise ParseError(f"{tag} takes {rule.arity} step {noun}")
     return rule(*map(int, nums))

@@ -36,7 +36,6 @@ from .kernel import (
     Sb,
     Sign,
     Step,
-    asserts,
     check_inference,
     rejects,
 )
