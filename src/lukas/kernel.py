@@ -103,7 +103,7 @@ class _Rule:
         return ()
 
     def remap(self, mapping: Mapping[int, int]) -> "Justification":
-        return type(self)(*(mapping[r] for r in self.refs()))
+        return type(self)(*[mapping[r] for r in self.refs()])
 
     def conclusion(self, *premises: Formula) -> Optional[Formula]:
         return None
@@ -427,20 +427,21 @@ def check_inference(ds: DeductiveSystem, inf: Inference) -> CheckReport:
     if not steps:
         return _fail(0, "empty-inference")
     hyps = set(inf.hypotheses)
+    k4 = ds.mode is Mode.K4
 
     for n, step in enumerate(steps, start=1):
         st, just = step.statement, step.justification
-        if ds.mode is Mode.INT and st.formula.boxed:
+        if not k4 and st.formula.boxed:
             return _fail(n, "modal-formula-in-int-mode")
         if not isinstance(just, Justification):
             return _fail(n, "unknown-justification")
         refs = just.refs()
-        if any(r < 1 or r >= n for r in refs):
+        premises = [steps[r - 1].statement for r in refs if 0 < r < n]
+        if len(premises) < len(refs):
             return _fail(n, "index-out-of-range")
-        if just.modal and ds.mode is not Mode.K4:
+        if just.modal and not k4:
             return _fail(n, "modal-rule-in-int-mode")
-        premises = [steps[r - 1].statement for r in refs]
-        if just.signs is not None and (*(p.sign for p in premises), st.sign) != just.signs:
+        if just.signs is not None and (*[p.sign for p in premises], st.sign) != just.signs:
             return _fail(n, "sign-mismatch")
         if not just.holds(ds, hyps, st, [p.formula for p in premises]):
             return _fail(n, just.fault)
