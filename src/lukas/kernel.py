@@ -81,15 +81,15 @@ def rejects(a: Formula) -> Statement:
 # --- justifications: the rule table ---------------------------------------
 #
 # Each justification class states its rule once, and the checker, the script
-# reader and writer, and the transforms all read it: the rule's script `tag`;
-# the `arity` of the earlier steps it rests on (`refs`, re-pointed by
-# `remap`); the `signs` of its premises and then of its conclusion, or None
-# when either sign will do; whether it is `modal`, that is, only K4-mode
-# systems have it; and what makes a step under it sound.  A rule that fixes
-# its conclusion gives it by `conclusion`, or None when the premises do not
-# fit, and a step under it `holds` when its formula is that conclusion; the
-# other rules test membership or a match in `holds`.  A step that does not
-# hold fails with the rule's `fault`.
+# reader and writer, the proof builder and the transforms all read it: the
+# rule's script `tag`; the `arity` of the earlier steps it rests on (`refs`,
+# re-pointed by `remap`); the `signs` of its premises and then of its
+# conclusion, or None when either sign will do; whether it is `modal`, that
+# is, only K4-mode systems have it; and what makes a step under it sound.  A
+# rule that fixes its conclusion gives it by `conclusion`, or None when the
+# premises do not fit, and a step under it `holds` when its formula is that
+# conclusion; the other rules test membership or a match in `holds`.  A step
+# that does not hold fails with the rule's `fault`.
 
 
 class _Rule:
