@@ -331,6 +331,8 @@ def parse_manifest(text: str) -> Manifest:
             elif parts[0] == "bound":
                 bound = _count(parts[1], "bound")
             elif parts[0] == "frame":
+                if mode is None:
+                    raise ParseError("manifest must declare mode before frames")
                 n = _count(parts[1], "frame")
                 pairs = []
                 for token in parts[2:]:
@@ -340,7 +342,7 @@ def parse_manifest(text: str) -> Manifest:
                                          f"got {token!r}")
                     pairs.append((int(i), int(j)))
                 try:
-                    frames.append(frame_from_pairs(mode or Mode.INT, n, pairs))
+                    frames.append(frame_from_pairs(mode, n, pairs))
                 except ValueError as exc:
                     raise ParseError(f"manifest directive 'frame': {exc}") from None
             elif parts[0] in ("+", "-"):

@@ -210,12 +210,24 @@ def test_manifest_value_errors_name_the_line(workdir, capsys, bad, number):
     ("deep.proof", "mode int\n1 + " + "~" * 5000 + "p ; ax\n", ["check", "{path}"],
      "resource bound: formula nesting exceeds the recursion limit",
      {"error": "formula nesting exceeds the recursion limit", "exit": 3}),
-], ids=["formula", "proof-script", "resource-bound"])
+    ("empty.proof", "# nothing\n", ["check", "{path}"], "error: empty proof script",
+     {"error": "empty proof script", "exit": 2}),
+    ("short.ds", "mode int\nbound 1\n", ["check", "{dir}/ok.proof", "--system", "{path}"],
+     "error: manifest needs mode, bound and at least one frame",
+     {"error": "manifest needs mode, bound and at least one frame", "exit": 2}),
+    ("k4.ds", "mode k4\nbound 1\nframe 1\n- ~~x0\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"], "error: proof and system modes differ",
+     {"error": "proof and system modes differ", "exit": 2}),
+    (None, None, ["transform", "symmetry", "{dir}/ok.proof"],
+     "error: transform symmetry needs --system or --frames",
+     {"error": "transform symmetry needs --system or --frames", "exit": 2}),
+], ids=["formula", "proof-script", "resource-bound", "empty-proof-script",
+        "manifest-incomplete", "proof-system-modes-differ", "symmetry-without-oracle"])
 def test_json_errors_are_records(workdir, capsys, name, text, argv, stderr, record):
     path = workdir / (name or "unused")
     if text is not None:
         path.write_text(text)
-    code = main(["--format", "json"] + [a.format(path=path) for a in argv])
+    code = main(["--format", "json"] + [a.format(path=path, dir=workdir) for a in argv])
     captured = capsys.readouterr()
     assert code == record["exit"]
     assert captured.err.rstrip("\n") == stderr
@@ -267,9 +279,20 @@ def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_mark
      "mode int\n1 + p -> q -> p ; ax\n2 + r -> q -> r ; sb 1 { p := r ; p := s }\n",
      ["check", "{path}"], "(at line 3, column 35)"),
     ("arity.proof", "mode int\n1 + p -> q -> p ; ax 1\n", ["check", "{path}"], "(at line 2)"),
+    ("late.proof", "mode int\n1 + p -> q -> p ; ax\nhyp + p\n", ["check", "{path}"],
+     "hypotheses must precede steps (at line 3)"),
+    ("bare.model", "mode int\nworlds 1\nval\n", ["valid", "--model", "{path}", "p"],
+     "val line must be 'val <var> <worlds...>' (at line 3)"),
+    ("marks.ds", "bound 1\n+ p\nmode int\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"],
+     "manifest must declare mode before formulas (at line 2)"),
+    ("early.ds", "bound 1\nframe 1\nmode k4\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"],
+     "manifest must declare mode before frames (at line 2)"),
 ], ids=["proof", "frame", "manifest", "proof-index-digit", "frame-worlds-digit",
         "frame-rel-range", "model-val-range", "sb-name-not-a-variable", "sb-name-two-words",
-        "sb-name-twice", "ax-with-index"])
+        "sb-name-twice", "ax-with-index", "hyp-after-step", "model-val-bare",
+        "manifest-mark-before-mode", "manifest-frame-before-mode"])
 def test_file_parse_errors_name_the_line(workdir, capsys, name, text, argv, where):
     path = workdir / name
     path.write_text(text)
@@ -358,3 +381,4 @@ def test_golden_output_digests(workdir, capsys):
             system.write_text(out)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
