@@ -39,7 +39,6 @@ from .kernel import (
     ProofBuilder,
     Sb,
     Sign,
-    Step,
     asserts,
     check_inference,
     rejects,
@@ -264,19 +263,15 @@ def build_positive_cpc(a: Formula) -> Inference:
             f"{render(a)} is not classically valid")
     inf = derive(a)
     if inf is None:
-        doubled = neg(neg(a))
-        derived = derive(doubled)
+        derived = derive(neg(neg(a)))
         if derived is None:
             raise TemplateUnavailableError(
                 f"double negation of {render(a)} did not prove; prover defect")
-        # the derivation of ~~a goes in verbatim, its closing repeat included
-        builder = ProofBuilder((), derived.steps)
+        builder = ProofBuilder()
+        doubled_index = builder.splice(derived)
         stability = builder.splice(template)
         instance = builder.apply(Sb.of(stability, {"p": a}))
-        # +a closes by modus ponens even when the template already holds it
-        # (a is the two-chain axiom or its instance)
-        closing = Step(asserts(a), MP(instance, builder.index[asserts(doubled)]))
-        inf = Inference((), (*builder.steps, closing))
+        inf = builder.conclude(builder.apply(MP(instance, doubled_index)))
     report = check_inference(ds, inf)
     if not report.ok:
         raise TemplateUnavailableError(f"positive proof fails checking: {report}")

@@ -268,21 +268,17 @@ class Inference:
 
 class ProofBuilder:
     """Accumulates an inference, reusing the earlier step whenever a
-    statement is added a second time.
+    statement is added a second time, and emits only what a conclusion
+    rests on: `conclude(index)` is the support of step `index`, in order.
 
     Untrusted, like everything outside `check_inference`: what it builds is
-    only as good as the check its caller runs on the result.  `steps` seeds
-    the builder verbatim, duplicates included; each statement is then found
-    at its first occurrence.
+    only as good as the check its caller runs on the result.
     """
 
-    def __init__(self, hypotheses: Sequence[Statement] = (),
-                 steps: Sequence[Step] = ()):
+    def __init__(self, hypotheses: Sequence[Statement] = ()):
         self.hypotheses = tuple(hypotheses)
-        self.steps: list[Step] = list(steps)
+        self.steps: list[Step] = []
         self.index: dict[Statement, int] = {}
-        for n, step in enumerate(self.steps, start=1):
-            self.index.setdefault(step.statement, n)
 
     def add(self, statement: Statement, just: Justification) -> int:
         """The index of `statement`, appended with `just` if it is new."""
@@ -302,33 +298,28 @@ class ProofBuilder:
 
     def splice(self, inf: Inference, upto: Optional[int] = None,
                mapping: Optional[dict[int, int]] = None) -> int:
-        """Add the steps of `inf`, all of them or only the support of step
-        `upto`, re-pointed at their new indices; return the new index of its
-        last step or of `upto`.  Entries already in `mapping` stand for steps
-        of `inf` that the builder holds; they are not copied, and `mapping`
-        ends up holding every old-to-new index."""
+        """Add the support of step `upto` of `inf`, its last step by default,
+        re-pointed at the new indices; return the new index of `upto`.
+        Entries already in `mapping` stand for steps of `inf` that the
+        builder holds; they are not copied, and `mapping` ends up holding
+        every old-to-new index."""
         mapping = {} if mapping is None else mapping
         last = len(inf.steps) if upto is None else upto
-        order = range(1, last + 1) if upto is None else sorted(inf.support(upto))
-        for old in order:
+        for old in sorted(inf.support(last)):
             if old not in mapping:
                 step = inf.steps[old - 1]
                 mapping[old] = self.add(step.statement, step.justification.remap(mapping))
         return mapping[last]
 
     def conclude(self, index: int) -> Inference:
-        """The inference built so far, ending in the statement at `index`.
-
-        Deduplication may have left that statement mid-list; it is then
-        repeated last, by an empty substitution when it is asserted and by a
-        reverse substitution with the identity match when it is rejected.
-        """
-        if index != len(self.steps):
-            statement = self.steps[index - 1].statement
-            just: Justification = (Sb(index, ()) if statement.sign is Sign.ASSERT
-                                   else RS(index))
-            self.steps.append(Step(statement, just))
-        return Inference(self.hypotheses, tuple(self.steps))
+        """The support of the statement at `index`, in order, so that it
+        comes last; the steps built so far when they all are its support."""
+        built = Inference(self.hypotheses, tuple(self.steps))
+        if len(built.support(index)) == len(built):
+            return built
+        support = ProofBuilder(self.hypotheses)
+        support.splice(built, index)
+        return Inference(self.hypotheses, tuple(support.steps))
 
 
 # --- deductive systems -----------------------------------------------------

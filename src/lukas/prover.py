@@ -29,7 +29,6 @@ from .formulas import (
     Implies,
     Mode,
     Or,
-    Substitution,
     Var,
     apply_substitution,
     check_mode,
@@ -338,23 +337,16 @@ def _eliminate_lambdas(term: Term) -> Term:
 # --- elaboration into an inference -------------------------------------------
 
 
-def _substitute(builder: ProofBuilder, source: int, subst: Substitution) -> int:
-    formula = builder.steps[source - 1].statement.formula
-    target = apply_substitution(subst, formula)
-    if target == formula:
-        return source
-    return builder.add(asserts(target), Sb.of(source, subst))
-
-
 def _load_term(builder: ProofBuilder, term: Term) -> int:
+    existing = builder.index.get(asserts(term.type))
+    if existing is not None:
+        return existing
     if isinstance(term, TmConst):
         base = IPC_AXIOMS[term.axiom]
         source = builder.add(asserts(base), Axiom())
-        if term.type == base:
-            return source
         binding = match_instance(base, term.type)
         assert binding is not None, "constant type is not an axiom instance"
-        return _substitute(builder, source, binding)
+        return builder.apply(Sb.of(source, binding))
     if isinstance(term, TmApp):
         major = _load_term(builder, term.fun)
         minor = _load_term(builder, term.arg)
@@ -502,13 +494,13 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
             if instance == goal:
                 builder = ProofBuilder(premises)
                 source = builder.add(premise, Hypothesis())
-                return builder.conclude(_substitute(builder, source, subst))
+                return builder.conclude(builder.apply(Sb.of(source, subst)))
             lemma = derive_lemma(Implies(instance, goal))
             if lemma is None:
                 continue
             builder = ProofBuilder(premises)
             source = builder.add(premise, Hypothesis())
-            inst_idx = _substitute(builder, source, subst)
+            inst_idx = builder.apply(Sb.of(source, subst))
             lemma_idx = builder.splice(lemma)
             return builder.conclude(builder.apply(MP(lemma_idx, inst_idx)))
 

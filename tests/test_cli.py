@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from lukas.cli import main
+from lukas.kernel import parse_proof_script
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 @pytest.fixture
@@ -382,3 +386,29 @@ def test_golden_output_digests(workdir, capsys):
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+
+def test_emitted_scripts_hold_only_what_their_conclusion_rests_on(workdir, capsys):
+    """Every fourth formula of the stored corpus, by prove-cpc or else by
+    refute against its manifest, and the symmetry transform of a K4 proof."""
+    k4proof, k4frame = workdir / "k4.proof", workdir / "k4.frame"
+    k4proof.write_text(
+        "mode k4\n"
+        "hyp + (p -> (q -> p)) -> []q\n"
+        "1 + (p -> (q -> p)) -> []q ; hyp\n"
+        "2 + p -> (q -> p) ; ax\n"
+        "3 + []q ; mp 1 2\n")
+    k4frame.write_text("mode k4\nworlds 1\nrel 0 0\n")
+    runs = [["transform", "symmetry", str(k4proof), "--frames", str(k4frame)]]
+    for line in (CORPUS / "index.tsv").read_text().splitlines()[::4]:
+        text = line.split("\t", 1)[1]
+        runs.append(["prove-cpc", text])
+        runs.append(["refute", "--system", str(CORPUS / "cpc.ds"), text])
+    emitted = 0
+    for argv in runs:
+        code, out = run(capsys, *argv)
+        if code != 0:
+            continue
+        _, inf = parse_proof_script(out.split("\n", 1)[1])
+        assert inf.support(len(inf)) == set(range(1, len(inf) + 1)), argv
+        emitted += 1
+    assert emitted == 41

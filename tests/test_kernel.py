@@ -194,29 +194,35 @@ def test_foreign_justification_is_unknown():
     assert str(check_inference(INT, inf)) == "ERR 1 unknown-justification"
 
 
-def test_conclude_repeats_a_mid_list_conclusion():
-    weaken = parse_formula("p -> (q -> p)")
-    builder = ProofBuilder()
-    axiom = builder.add(asserts(weaken), Axiom())
-    builder.add(asserts(parse_formula("a -> (b -> a)")),
-                Sb.of(axiom, {"p": Var("a"), "q": Var("b")}))
-    inf = builder.conclude(axiom)
-    assert render_proof_script(Mode.INT, inf).splitlines()[-1] == "3 + p -> q -> p ; sb 1 { }"
-    assert check_inference(INT, inf).conclusion == asserts(weaken)
-
-    hyp = rejects(parse_formula("a -> (b -> a)"))
+def test_conclude_keeps_only_the_support_of_its_index():
+    # 1 ax, 2 hyp, 3 mp 1 2, 4 sb 1 (dead), 5 sb 1, 6 mp 5 3, 7 sb 6 (later)
+    hyp = asserts(Var("p"))
     builder = ProofBuilder((hyp,))
-    first = builder.add(hyp, Hypothesis())
-    assert builder.add(hyp, Hypothesis()) == first
-    builder.add(rejects(weaken), RS(first))
-    inf = builder.conclude(first)
-    assert render_proof_script(Mode.INT, inf).splitlines()[-1] == "3 - a -> b -> a ; rs 1"
-    assert check_inference(INT, inf).conclusion == hyp
-    # a conclusion already in last place is not repeated
-    assert len(builder.conclude(len(builder.steps))) == 3
+    axiom = builder.add(asserts(parse_formula("p -> (q -> p)")), Axiom())
+    premise = builder.add(hyp, Hypothesis())
+    weakened = builder.apply(MP(axiom, premise))
+    builder.apply(Sb.of(axiom, {"p": Var("a"), "q": Var("b")}))
+    q_p = parse_formula("q -> p")
+    final = builder.apply(MP(builder.apply(Sb.of(axiom, {"p": q_p, "q": q_p})), weakened))
+    builder.apply(Sb.of(final, {"q": Var("r")}))
+    inf = builder.conclude(final)
+    assert render_proof_script(Mode.INT, inf).splitlines()[1:] == [
+        "hyp + p",
+        "1 + p -> q -> p ; ax",
+        "2 + p ; hyp",
+        "3 + q -> p ; mp 1 2",
+        "4 + (q -> p) -> (q -> p) -> q -> p ; sb 1 { p := q -> p ; q := q -> p }",
+        "5 + (q -> p) -> q -> p ; mp 4 3",
+    ]
+    assert check_inference(INT, inf).conclusion == builder.steps[final - 1].statement
+    # the built steps are left as they are, and a full support comes back whole
+    assert len(builder.steps) == 7
+    whole = ProofBuilder((hyp,))
+    whole.splice(inf)
+    assert whole.conclude(len(whole.steps)).steps == inf.steps
 
 
-def test_splice_copies_the_support_of_upto_or_every_step():
+def test_splice_copies_only_the_support_of_upto():
     inf = _mp_example()             # 1 ax, 2 hyp, 3 mp 1 2
     dead = Inference(inf.hypotheses, inf.steps + (
         Step(asserts(parse_formula("a -> (b -> a)")),
@@ -225,14 +231,19 @@ def test_splice_copies_the_support_of_upto_or_every_step():
     assert builder.splice(dead, upto=4) == 2
     assert [s.justification for s in builder.steps] == [
         Axiom(), Sb.of(1, {"p": Var("a"), "q": Var("b")})]
-    assert not any(isinstance(s.justification, Hypothesis) for s in builder.steps)
     assert dead.support(4) == {1, 4}
 
+    # by default the support of the last step: steps 2 to 4 are left out
+    last = Sb.of(1, {"p": Var("q")})
+    ahead = Inference(inf.hypotheses, dead.steps + (
+        Step(asserts(parse_formula("q -> q -> q")), last),))
     builder = ProofBuilder(inf.hypotheses)
-    assert builder.splice(dead) == 4
-    assert builder.steps == list(dead.steps)
+    mapping = {}
+    assert builder.splice(ahead, mapping=mapping) == 2
+    assert [s.justification for s in builder.steps] == [Axiom(), last]
+    assert mapping == {1: 1, 5: 2}
     # spliced again, every statement is already there
-    assert builder.splice(dead) == 4 and len(builder.steps) == 4
+    assert builder.splice(ahead) == 2 and len(builder.steps) == 2
 
 
 def test_remap_repoints_every_reference():

@@ -68,6 +68,14 @@ def test_theorems_prove_and_check(text):
     assert check_inference(INT, result.derivation).ok
 
 
+def test_derivations_hold_only_what_their_conclusion_rests_on():
+    five_variables = ["p & q & r & s & t -> t",
+                      "(p -> q) -> (q -> r) -> (r -> s) -> (s -> t) -> p -> t"]
+    for text in THEOREMS + five_variables:
+        inf = prove_ipc(parse_formula(text)).derivation
+        assert inf.support(len(inf)) == set(range(1, len(inf) + 1)), text
+
+
 @pytest.mark.parametrize("text", CLASSICAL_ONLY)
 def test_classical_only_formulas_get_countermodels(text):
     f = parse_formula(text)
