@@ -343,9 +343,9 @@ def test_resource_bound_exit_code(workdir, capsys):
 #: reflexive point on which that hypothesis fails.
 GOLDEN_DIGESTS = [
     (("prove-cpc", "(p -> p) & (q | (q -> p))"),
-     "3dbe5e17b61fb80dcdc67ba34df21bcf064bf891bf8f00b6af4d8566fc63cc3d"),
+     "38312ce6d90fed7cc4cb7985d1f299f879c4481370b34e77f25f9cb04bb7a6cd"),
     (("prove-cpc", "((p -> q) -> p) | (p -> q)"),
-     "07a42eea8cc434e43177dcb1aa541878728f8cec89d6343b920fe75207119a46"),
+     "fc331737be222db89bbcefb418e923999bc7048da5060e960d02139287359f1d"),
     (("axiomatize", "--frames", "{frame}"),
      "82cbc59ba131bc027d312893e683759fe5124e3850d36f5f2395ac0c42e8a41f"),
     (("refute", "--system", "{system}", "(p -> q) -> p"),
@@ -353,15 +353,15 @@ GOLDEN_DIGESTS = [
     (("refute", "--system", "{system}", "p | ~q"),
      "11614f09bf57d9ea397c790a71cb0fe98676e9d440129752bb1c228684db6349"),
     (("ipc", "(p -> q) -> (~q -> ~p)"),
-     "50f8a082942be48d8fc081165cff4fe12406d5a515b4904f876b7ea3062fca67"),
+     "69e58a64cfbee1e5e46533f0548113bd73107e09fbb73bb155c97b92ceb7c4ea"),
     (("ipc", "p & (q | r) -> (p & q) | (p & r)"),
      "73783167b870d74e48c529e2f69a82566fcdbea8043cb28d183687dfb24e92b9"),
     (("ipc", "~~(p | ~p)"),
-     "f7d483c56b9a9da6a4e64dec86181983e1cdd3b38b29392af7cfc8241847fc20"),
+     "0176565a56684a502f656e1fed1897298efd44747c7b114bfa65481371e64887"),
     (("transform", "symmetry", "{k4proof}", "--frames", "{k4frame}"),
      "663ee54e95463b34066543eb5280cac9a5e6de6c0633dca4a9e96d1e3174efba"),
     (("prove-cpc", "(p -> q) -> (~q -> ~p)"),
-     "f3c8b009cd66428d8220e9826e8b3c167acf367daea73606c7d8b8d570b08f61"),
+     "08aebaac201fa0e9d619297a86d7e5cf16e7ef208e62d3c63b54c72a3eeb5983"),
 ]
 
 
