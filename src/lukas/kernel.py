@@ -315,7 +315,7 @@ class ProofBuilder:
         """The support of the statement at `index`, in order, so that it
         comes last; the steps built so far when they all are its support."""
         built = Inference(self.hypotheses, tuple(self.steps))
-        if len(built.support(index)) == len(built):
+        if index == len(built) and len(built.support(index)) == index:
             return built
         support = ProofBuilder(self.hypotheses)
         support.splice(built, index)
