@@ -78,10 +78,6 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _budget(args) -> Budget:
-    return Budget(max_worlds=args.budget, max_vars=args.budget)
-
-
 def cmd_check(args, out: _Output) -> int:
     mode, inf = parse_proof_script(_read(args.proof))
     if args.system:
@@ -103,9 +99,9 @@ def cmd_valid(args, out: _Output) -> int:
         formula = parse_formula(args.formula, model.frame.mode)
         ok = model_validates(model, asserts(formula))
     else:
-        frame = parse_frame_file(_read(args.frame))
+        frame = parse_frame_file(_read(args.frame), args.budget)
         formula = parse_formula(args.formula, frame.mode)
-        ok = frame_valid(frame, formula, _budget(args))
+        ok = frame_valid(frame, formula, Budget(args.budget, args.budget))
     out.verdict("VALID" if ok else "INVALID")
     return 0 if ok else 1
 
@@ -117,7 +113,7 @@ def cmd_jankov(args, out: _Output) -> int:
 
 
 def cmd_axiomatize(args, out: _Output) -> int:
-    frames = [parse_frame_file(_read(p)) for p in args.frames]
+    frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
     oracle = tabular_oracle(frames, Budget(max_worlds=args.budget, max_vars=8))
     family = jankov_family(args.bound)
     text = render_manifest(frames[0].mode, frames, args.bound, family, oracle)

@@ -46,6 +46,7 @@ from .kernel import (
 )
 from .prover import derive, derive_from_hypotheses
 from .semantics import (
+    MAX_POSET_WORLDS,
     Budget,
     Frame,
     ResourceBoundError,
@@ -144,11 +145,18 @@ class FamilyEntry:
     formula: Formula
 
 
+@lru_cache(maxsize=None)
 def jankov_family(max_worlds: int) -> tuple[FamilyEntry, ...]:
     """Jankov formulas of all rooted posets up to the size bound, in the
-    deterministic (size, canonical frame) order, duplicate-free."""
+    deterministic (size, canonical frame) order, duplicate-free; cached."""
     return tuple(FamilyEntry(f, jankov_formula(f))
                  for f in enumerate_rooted_posets(max_worlds))
+
+
+@lru_cache(maxsize=None)
+def _family_by_text(max_worlds: int) -> dict[str, Formula]:
+    """The formulas of `jankov_family(max_worlds)` by their rendering."""
+    return {render(e.formula): e.formula for e in jankov_family(max_worlds)}
 
 
 # --- the axiomatizer ---------------------------------------------------------
@@ -329,6 +337,9 @@ def parse_manifest(text: str) -> Manifest:
                 if mode is None:
                     raise ParseError("manifest must declare mode before frames")
                 n = _count(parts[1], "frame")
+                if n > _ORACLE_BUDGET.max_worlds:
+                    raise ResourceBoundError(f"frame has {n} worlds, budget allows "
+                                             f"{_ORACLE_BUDGET.max_worlds}", line=number)
                 pairs = []
                 for token in parts[2:]:
                     i, dash, j = token.partition("-")
@@ -345,7 +356,10 @@ def parse_manifest(text: str) -> Manifest:
                     raise ParseError("manifest must declare mode before formulas")
                 sign = Sign.ASSERT if parts[0] == "+" else Sign.REJECT
                 formula_text = line.split(None, 1)[1]
-                marks.append((sign, parse_formula_at(
+                # a family formula's own rendering is read without parsing
+                family = (_family_by_text(bound)
+                          if bound is not None and bound <= MAX_POSET_WORLDS else {})
+                marks.append((sign, family.get(formula_text) or parse_formula_at(
                     formula_text, mode, len(line) - len(formula_text))))
             else:
                 raise ParseError(f"unknown manifest directive {parts[0]!r}")

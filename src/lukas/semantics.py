@@ -2,9 +2,10 @@
 validity by exhaustive valuation enumeration, adequacy checks, tabular
 membership oracles, rooted-poset enumeration, and p-morphic reducibility.
 
-Sets of worlds are bitmasks throughout; truth sets are computed bottom-up for
-the whole model at once, so a formula is evaluated in one pass regardless of
-how many worlds ask about it.
+Sets of worlds are bitmasks throughout.  A formula is evaluated bottom-up
+over the bits of one int, a lane per (valuation, world) pair, so frame
+validity takes a chunk of valuations in each pass; a model is the
+one-valuation case.
 
 Frame/model file format:
 
@@ -33,13 +34,17 @@ from .formulas import (
     Var,
     check_mode,
     file_lines,
-    variables,
 )
 from .kernel import DeductiveSystem, Sign, Statement
 
 
 class ResourceBoundError(Exception):
-    """The requested check exceeds the configured enumeration budget."""
+    """The requested check exceeds the configured enumeration budget.  One
+    found while reading a file carries the 1-based `line`."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"{message} (at line {line})")
+        self.message, self.line = message, line
 
 
 @dataclass(frozen=True)
@@ -157,53 +162,93 @@ def _upward_closure(frame: Frame, mask: int) -> int:
     return out | mask
 
 
+#: Lanes (valuation, world) that `falsifying_model` evaluates at once.
+_LANES = 1 << 12
+
+
+def _repeat(block: int, width: int, count: int) -> int:
+    """`count` copies of the `width`-bit `block`, copy i at bit i * width."""
+    return block * (((1 << width * count) - 1) // ((1 << width) - 1))
+
+
+def _offsets(frame: Frame) -> dict[int, int]:
+    """For each offset d = u - w of an edge w -> u, the worlds w with such
+    an edge."""
+    masks: dict[int, int] = {}
+    for w in range(frame.n):
+        for u in _bits(frame.rel[w]):
+            masks[u - w] = masks.get(u - w, 0) | 1 << w
+    return masks
+
+
+def _program(a: Formula) -> tuple[list[tuple[type, object, int]], list[str]]:
+    """`a` as straight-line code, its distinct subformulas each after its
+    operands as (class, left slot or variable name, right slot), and its
+    variables, sorted."""
+    slots: dict[int, int] = {}
+    code: list[tuple[type, object, int]] = []
+    names: list[str] = []
+
+    def go(f: Formula) -> int:
+        slot = slots.get(id(f))
+        if slot is None:
+            kind = type(f)
+            if kind is Var:
+                names.append(f.name)
+                step = (Var, f.name, 0)
+            elif kind is Box:
+                step = (Box, go(f.inner), 0)
+            elif kind is Bottom:
+                step = (Bottom, 0, 0)
+            else:
+                step = (kind, go(f.left), go(f.right))
+            slots[id(f)] = slot = len(code)
+            code.append(step)
+        return slot
+
+    go(a)
+    return code, sorted(names)
+
+
+def _run(code: Sequence[tuple[type, object, int]], intuitionistic: bool, full: int,
+         offsets: Sequence[tuple[int, int]], var_lanes: Mapping[str, int]) -> int:
+    """The lanes of `full` that force the formula `code` computes, with each
+    variable true on its `var_lanes`.  Lane w of each block of n lanes is
+    world w of one model; `offsets` holds, for each edge offset d, the
+    lanes whose world has an edge to the world d lanes on."""
+
+    def sees(mask: int) -> int:
+        out = 0
+        for d, lanes in offsets:
+            out |= (mask >> d if d >= 0 else mask << -d) & lanes
+        return out
+
+    values: list[int] = []
+    for kind, x, y in code:
+        if kind is And:
+            value = values[x] & values[y]
+        elif kind is Or:
+            value = values[x] | values[y]
+        elif kind is Implies:
+            bad = values[x] & ~values[y]
+            value = full & ~(sees(bad) if intuitionistic else bad)
+        elif kind is Var:
+            value = var_lanes.get(x, 0)
+        elif kind is Box:
+            value = full & ~sees(full & ~values[x])
+        else:
+            value = 0
+        values.append(value)
+    return values[-1]
+
+
 def truth_mask(model: KripkeModel, a: Formula) -> int:
     """Bitmask of worlds forcing `a`; int mode uses intuitionistic clauses,
     k4 mode classical-at-a-world clauses with box over successors."""
     frame = model.frame
-    full = frame.full_mask()
-    intuitionistic = frame.mode is Mode.INT
-    memo: dict[int, int] = {}
-
-    def down_closure(mask: int) -> int:
-        out = 0
-        for w in range(frame.n):
-            if frame.rel[w] & mask:
-                out |= 1 << w
-        return out
-
-    def go(f: Formula) -> int:
-        key = id(f)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Var):
-            result = model.var_mask(f.name)
-        elif isinstance(f, Bottom):
-            result = 0
-        elif isinstance(f, And):
-            result = go(f.left) & go(f.right)
-        elif isinstance(f, Or):
-            result = go(f.left) | go(f.right)
-        elif isinstance(f, Implies):
-            bad = go(f.left) & ~go(f.right)
-            if intuitionistic:
-                result = full & ~down_closure(bad)
-            else:
-                result = full & ~bad
-        elif isinstance(f, Box):
-            inner = go(f.inner)
-            result = 0
-            for w in range(frame.n):
-                if not (frame.rel[w] & ~inner):
-                    result |= 1 << w
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[key] = result
-        return result
-
     check_mode(a, frame.mode)
-    return go(a)
+    return _run(_program(a)[0], frame.mode is Mode.INT, frame.full_mask(),
+                list(_offsets(frame).items()), dict(model.valuation))
 
 
 def forces(model: KripkeModel, w: int, a: Formula) -> bool:
@@ -240,20 +285,47 @@ def frame_valid(frame: Frame, a: Formula, budget: Budget = DEFAULT_BUDGET) -> bo
 
 def falsifying_model(frame: Frame, a: Formula,
                      budget: Budget = DEFAULT_BUDGET) -> Optional[KripkeModel]:
-    """A model on `frame` where `a` fails somewhere, or None if frame-valid."""
+    """A model on `frame` where `a` fails somewhere, or None if frame-valid:
+    the first in `itertools.product` order over the admissible sets of the
+    sorted variables.  The valuations are evaluated a chunk at a time, one
+    block of lanes each: the last `inner` variables run through all their
+    values within a chunk, and the others are fixed in it."""
     check_mode(a, frame.mode)
-    names = sorted(variables(a))
+    code, names = _program(a)
     if frame.n > budget.max_worlds:
         raise ResourceBoundError(
             f"frame has {frame.n} worlds, budget allows {budget.max_worlds}")
     if len(names) > budget.max_vars:
         raise ResourceBoundError(
             f"formula has {len(names)} variables, budget allows {budget.max_vars}")
-    full = frame.full_mask()
-    for choice in itertools.product(_admissible_sets(frame), repeat=len(names)):
-        model = KripkeModel(frame, tuple(zip(names, choice)))
-        if truth_mask(model, a) != full:
-            return model
+    n = frame.n
+    if n == 0:
+        return None
+    sets = _admissible_sets(frame)
+    m = len(sets)
+    inner = 0
+    while inner < len(names) and m ** (inner + 1) * n <= _LANES:
+        inner += 1
+    outer = len(names) - inner
+    blocks = m ** inner
+    full = _repeat(frame.full_mask(), n, blocks)
+    ones = _repeat(1, n, blocks)
+    offsets = [(d, worlds * ones) for d, worlds in _offsets(frame).items()]
+    patterns = {}
+    for i, name in enumerate(names[outer:]):
+        stride = m ** (inner - 1 - i)       # blocks per value
+        run = sum(_repeat(s, n, stride) << d * stride * n for d, s in enumerate(sets))
+        patterns[name] = _repeat(run, m * stride * n, m ** i)
+    intuitionistic = frame.mode is Mode.INT
+    for fixed in itertools.product(range(m), repeat=outer):
+        var_lanes = dict(patterns)
+        for name, d in zip(names, fixed):
+            var_lanes[name] = sets[d] * ones
+        failed = full & ~_run(code, intuitionistic, full, offsets, var_lanes)
+        if failed:
+            block = ((failed & -failed).bit_length() - 1) // n
+            digits = fixed + tuple(block // m ** (inner - 1 - i) % m for i in range(inner))
+            return KripkeModel(frame, tuple((name, sets[d]) for name, d in zip(names, digits)))
     return None
 
 
@@ -343,6 +415,9 @@ def _posets_on(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+MAX_POSET_WORLDS = 5        # the largest posets `enumerate_rooted_posets` makes
+
+
 @lru_cache(maxsize=None)
 def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> tuple[Frame, ...]:
     """All rooted posets with 1..max_worlds points, one per isomorphism
@@ -350,8 +425,8 @@ def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> tuple[Fra
     call with the same arguments returns the same tuple."""
     if mode is not Mode.INT:
         raise ValueError("rooted poset enumeration is int-mode machinery")
-    if max_worlds > 5:
-        raise ResourceBoundError("rooted poset enumeration is budgeted to 5 worlds")
+    if max_worlds > MAX_POSET_WORLDS:
+        raise ResourceBoundError(f"rooted poset enumeration is budgeted to {MAX_POSET_WORLDS} worlds")
     frames = []
     for n in range(1, max_worlds + 1):
         for inner in _posets_on(n - 1):
@@ -371,10 +446,6 @@ def root_of(frame: Frame) -> Optional[int]:
     return None
 
 
-def _upsets_of(frame: Frame) -> list[int]:
-    return [m for m in _admissible_sets(frame) if m]
-
-
 def p_morphic_reduct_exists(g: Frame, f: Frame) -> bool:
     """True iff some generated subframe of g maps onto f by a surjective
     p-morphism.  Exhaustive search over upsets and maps; desk scale only."""
@@ -384,7 +455,7 @@ def p_morphic_reduct_exists(g: Frame, f: Frame) -> bool:
         raise ResourceBoundError("p-morphism search is budgeted to 6 worlds")
     targets = list(range(f.n))
     full_f = f.full_mask()
-    for upset in _upsets_of(g):
+    for upset in _admissible_sets(g)[1:]:      # the nonempty upsets
         domain = list(_bits(upset))
         if len(domain) < f.n:
             continue
@@ -418,8 +489,10 @@ def p_morphic_reduct_exists(g: Frame, f: Frame) -> bool:
 # --- file I/O ----------------------------------------------------------------
 
 
-def parse_frame_file(text: str) -> Frame:
-    frame, _ = _parse_frame_lines(text)
+def parse_frame_file(text: str, max_worlds: Optional[int] = None) -> Frame:
+    """The frame of a frame file; with `max_worlds`, a larger `worlds` count
+    is a ResourceBoundError on its line, raised before any world is built."""
+    frame, _ = _parse_frame_lines(text, max_worlds)
     return frame
 
 
@@ -428,7 +501,8 @@ def parse_model_file(text: str) -> KripkeModel:
     return KripkeModel.of(frame, valuation)
 
 
-def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
+def _parse_frame_lines(text: str,
+                       max_worlds: Optional[int] = None) -> tuple[Frame, dict[str, int]]:
     mode: Optional[Mode] = None
     n: Optional[int] = None
     # world indices with the number of the line that names them, checked
@@ -446,6 +520,9 @@ def _parse_frame_lines(text: str) -> tuple[Frame, dict[str, int]]:
                 if len(parts) != 2 or not parts[1].isdecimal():
                     raise ParseError("worlds line must be 'worlds <n>'")
                 n = int(parts[1])
+                if max_worlds is not None and n > max_worlds:
+                    raise ResourceBoundError(
+                        f"frame has {n} worlds, budget allows {max_worlds}", line=number)
             elif parts[0] == "rel":
                 if len(parts) != 3 or not parts[1].isdecimal() or not parts[2].isdecimal():
                     raise ParseError("rel line must be 'rel <i> <j>'")

@@ -335,6 +335,34 @@ def test_resource_bound_exit_code(workdir, capsys):
     assert main(["valid", "--frame", str(workdir / "big.frame"), "p -> p"]) == 3
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("big.frame", "mode int\nworlds 20000\n", ["valid", "--frame", "{path}", "p"]),
+    ("big.frame", "mode int\nworlds 20000\n", ["axiomatize", "--frames", "{path}"]),
+    ("big.ds", "mode int\nframe 20000\nbound 1\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"]),
+], ids=["valid-frame", "axiomatize-frames", "manifest-frame"])
+def test_world_counts_over_the_budget_stop_on_their_line(workdir, capsys, name, text, argv):
+    path = workdir / name
+    path.write_text(text)
+    argv = [a.format(path=path, dir=workdir) for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource bound: frame has 20000 worlds, budget allows 8 (at line 2)\n")
+    assert main(["--format", "json"] + argv) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "frame has 20000 worlds, budget allows 8", "exit": 3, "line": 2}
+
+
+def test_world_budget_leaves_models_alone(workdir, capsys):
+    lines = ["mode int", "worlds 9"] + [f"rel {i} {i + 1}" for i in range(8)]
+    (workdir / "big.kripke").write_text("\n".join(lines) + "\nval p 8\n")
+    code, out = run(capsys, "valid", "--model", str(workdir / "big.kripke"), "p | ~p")
+    assert code == 1 and out.strip() == "INVALID"
+    code, out = run(capsys, "--budget", "2", "valid", "--model", str(workdir / "big.kripke"),
+                    "~~p")
+    assert code == 0 and out.strip() == "VALID"
+
+
 #: sha256 of the standard output of each command, pinned so that a
 #: refactor cannot change an emitted proof script or model by a byte.
 #: `{frame}` is a one-point frame file, `{system}` the manifest that the

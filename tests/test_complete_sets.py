@@ -15,7 +15,7 @@ from lukas.complete_sets import (
     parse_manifest,
     render_manifest,
 )
-from lukas.formulas import Mode, parse_formula, render, variables
+from lukas.formulas import Mode, ParseError, parse_formula, render, variables
 from lukas.kernel import check_inference, rejects, system
 from lukas.semantics import (
     Budget,
@@ -197,3 +197,47 @@ def test_manifest_rejects_tampered_signs():
     flipped = text.replace("\n- ", "\n+ ", 1)
     with pytest.raises(ValueError):
         manifest_context(parse_manifest(flipped))
+
+
+def point_manifest(bound: int) -> str:
+    frames = [point_frame()]
+    return render_manifest(Mode.INT, frames, bound, jankov_family(bound),
+                           tabular_oracle(frames, WIDE))
+
+
+def respell(text: str) -> str:
+    """`text` with Unicode connectives, more blanks and redundant brackets."""
+    for ascii_, wide in (("->", " \u2192 "), ("&", "\u2227"), ("|", "  \u2228"), ("~", "\u00ac")):
+        text = text.replace(ascii_, wide)
+    return "((" + text + "))"
+
+
+def test_manifest_marks_need_not_be_canonical():
+    text = point_manifest(3)
+    lines = [line if line[0] not in "+-" else f"{line[0]}   {respell(line[2:])}  "
+             for line in text.splitlines()]
+    assert lines != text.splitlines()
+    manifest = parse_manifest("\n".join(lines) + "\n")
+    assert manifest == parse_manifest(text)
+    manifest_context(manifest)
+
+
+def test_manifest_bound_may_follow_the_marks():
+    text = point_manifest(3)
+    lines = [line for line in text.splitlines() if not line.startswith("bound ")]
+    manifest = parse_manifest("\n".join(lines + ["bound 3"]) + "\n")
+    assert manifest == parse_manifest(text)
+    manifest_context(manifest)
+
+
+def test_manifest_mark_errors():
+    flipped = point_manifest(3).replace("\n- ", "\n+ ", 1)
+    with pytest.raises(ValueError, match="disagrees with its frames"):
+        manifest_context(parse_manifest(flipped))
+    outside = render(jankov_family(3)[-1].formula)
+    with pytest.raises(ValueError, match="not in the family of bound 2"):
+        manifest_context(parse_manifest(point_manifest(2) + f"+ {outside}\n"))
+    with pytest.raises(ParseError) as caught:
+        parse_manifest("mode int\nbound 1\nframe 1 0-0\n- ~~x0 &\n")
+    assert (caught.value.line, caught.value.column) == (4, 9)
+    assert str(caught.value) == "unexpected end of input (at line 4, column 9)"

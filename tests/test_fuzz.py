@@ -79,6 +79,10 @@ def test_mutated_inputs_reach_a_verdict_or_a_named_error(tmp_path, capsys):
     ] + [(CORPUS / "scripts" / name).read_text()
          for name in ("s000.proof", "s001.proof", "s002.proof", "s000.flipped.proof")]
     corpus_script = CORPUS / "scripts" / "s000.proof"
+    cpc = (CORPUS / "cpc.ds").read_text()
+    # the classical manifest with its marks in Unicode, in redundant brackets
+    unicode_marks = cpc.replace("->", "\u2192").replace("~", "\u00ac")
+    respelled = re.sub(r"(?m)^([+-]) (.*)$", r"\1  ((\2))", unicode_marks)
     seeds = (
         [("script", text, ["check", "{path}", "--system", str(system)]) for text in int_scripts]
         + [("script", text, ["transform", "extract", "{path}"]) for text in int_scripts[:2]]
@@ -86,11 +90,13 @@ def test_mutated_inputs_reach_a_verdict_or_a_named_error(tmp_path, capsys):
         + [("frame", text, ["valid", "--frame", "{path}", "~~p -> p"])
            for text in (point_frame, "mode k4\nworlds 1\nrel 0 0\n",
                         "mode int\nworlds 3\nrel 0 1\nrel 0 2\n")]
+        + [("frame", "mode k4\nworlds 3\nrel 0 1\nrel 1 2\nrel 2 2\n",
+            ["valid", "--frame", "{path}", "[]([]p -> p) -> []p"])]
         + [("frame", "mode int\nworlds 2\nrel 0 1\n", ["jankov", "--frame", "{path}"])]
         + [("model", _emitted(capsys, "ipc", "~~p -> p"),
             ["valid", "--model", "{path}", "~~p -> p"])]
         + [("manifest", text, ["check", str(corpus_script), "--system", "{path}"])
-           for text in (system.read_text(), (CORPUS / "cpc.ds").read_text())]
+           for text in (system.read_text(), cpc, respelled)]
     )
     rng = random.Random(20141)
     codes = set()

@@ -17,6 +17,7 @@ from lukas.formulas import (
     parse_formula,
     variables,
 )
+from lukas import semantics
 from lukas.kernel import asserts, rejects, system
 from lukas.semantics import (
     Budget,
@@ -25,6 +26,7 @@ from lukas.semantics import (
     chain_frame,
     check_adequacy,
     enumerate_rooted_posets,
+    falsifying_model,
     forces,
     frame_from_pairs,
     frame_valid,
@@ -140,6 +142,87 @@ def test_frame_valid_agrees_with_brute_force():
                     for w in range(frame.n))
                 for choice in itertools.product(sets, repeat=len(names)))
             assert frame_valid(frame, f, WIDE) == expected
+
+
+def admissible_sets(frame):
+    """The upsets of an int-mode frame, every set of worlds of a k4 one, in
+    increasing order."""
+    return [m for m in range(1 << frame.n)
+            if frame.mode is Mode.K4
+            or all(not (m & (1 << w)) or (frame.rel[w] & ~m) == 0 for w in range(frame.n))]
+
+
+def reference_falsifying_model(frame, f):
+    """The first valuation, in `itertools.product` order over the sorted
+    variables, whose `truth_mask` misses a world: one valuation at a time."""
+    names = sorted(variables(f))
+    for choice in itertools.product(admissible_sets(frame), repeat=len(names)):
+        model = KripkeModel(frame, tuple(zip(names, choice)))
+        if truth_mask(model, f) != frame.full_mask():
+            return model
+    return None
+
+
+INT_TEXTS = ["~~p -> p", "p | ~p", "(p -> q) | (q -> p)", "~p | ~~p", "p -> (q -> p)",
+             "((p -> q) -> p) -> p", "~(p & q) -> ~p | ~q", "(p -> q | r) -> (p -> q) | (p -> r)",
+             "p & (q | r) -> (p & q) | r", "q -> p", "bot", "bot -> bot", "~bot", "~~bot -> bot"]
+
+K4_TEXTS = ["[]p -> [][]p", "[]p -> p", "p -> []p", "[]bot", "~[]bot", "[]bot -> bot",
+            "[]([]p -> p) -> []p", "[](p | q) -> []p | []q", "[](p -> q) -> ([]p -> []q)",
+            "~[]p -> []~[]p", "p -> q"]
+
+
+def test_falsifying_model_matches_the_one_valuation_enumerator():
+    frames = list(enumerate_rooted_posets(4))
+    formulas = [parse_formula(t) for t in INT_TEXTS]
+    for frame in frames:
+        for f in formulas:
+            assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f)
+
+
+def test_falsifying_model_matches_across_chunks():
+    # 0 < 1, 0 < 2 < 3, 2 < 4: eight upsets, so four variables span many chunks
+    frame = frame_from_pairs(Mode.INT, 5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+    assert len(admissible_sets(frame)) ** 4 * frame.n > semantics._LANES
+    for text in ["(p & q & r) -> s", "s -> p", "(p -> q) | (q -> r) | (r -> s)",
+                 "(p & q & r & s) -> (s | p)", "~~s -> s", "((p -> q) -> r) -> s | ~s"]:
+        f = parse_formula(text)
+        assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f), text
+
+
+def k4_frames():
+    """Irreflexive worlds, dead ends, a cluster and a reflexive point."""
+    return [frame_from_pairs(Mode.K4, n, pairs) for n, pairs in [
+        (1, []), (1, [(0, 0)]), (2, [(0, 1)]), (3, [(0, 1), (1, 2)]),
+        (3, [(0, 1), (0, 2), (1, 1)]), (3, [(0, 1), (1, 0), (1, 2)]),
+        (4, [(0, 1), (0, 2), (2, 3), (3, 3)])]]
+
+
+def test_falsifying_model_matches_on_k4_frames():
+    formulas = [parse_formula(t, Mode.K4) for t in K4_TEXTS]
+    for frame in k4_frames():
+        for f in formulas:
+            assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f)
+
+
+def test_truth_mask_agrees_with_brute_force_on_k4_frames():
+    formulas = [parse_formula(t, Mode.K4) for t in K4_TEXTS]
+    for frame in k4_frames():
+        for f in formulas:
+            names = sorted(variables(f))
+            for choice in itertools.product(admissible_sets(frame), repeat=len(names)):
+                model = KripkeModel(frame, tuple(zip(names, choice)))
+                expected = sum(1 << w for w in range(frame.n) if brute_forces(model, w, f))
+                assert truth_mask(model, f) == expected
+
+
+def test_zero_world_frames_validate_everything():
+    for mode, texts in ((Mode.INT, INT_TEXTS), (Mode.K4, K4_TEXTS)):
+        frame = frame_from_pairs(mode, 0, [])
+        for text in texts:
+            f = parse_formula(text, mode)
+            assert falsifying_model(frame, f, WIDE) is None
+            assert reference_falsifying_model(frame, f) is None
 
 
 @given(formula_strategy(names=("p", "q"), max_depth=3), st.integers(0, 5))
