@@ -11,6 +11,17 @@ from ``id``, so set and dict order is the same in every run) and a ``boxed``
 flag; hashing, equality and `has_box` cost O(1).  Constructors may be
 called from several threads at once.
 
+A node also has a slot for its rendering, which `render` fills the first
+time it reaches the node.  Later renders of the node, or of any formula
+containing it, reuse that text and add only brackets, and the cache check
+sits inside the one recursive walk, so nesting still costs one stack frame
+per level.  Only renderings of at most `_TEXT_LIMIT` (80) characters are
+kept: a formula of depth D and text size S would otherwise keep about D×S
+bytes alive, since each node on a path holds the text of everything below
+it (300 negations of a 0.6 MB conjunction kept 189 MB; with the limit,
+4 MB).  A variable's text is its name.  Two threads may render one node at
+once and both fill its slot; they store the same text, so either may win.
+
 Negation is surface sugar only: ``~A`` parses to ``Implies(A, Bottom)`` and the
 printer re-sugars that shape back to ``~A``.  The connective set is fixed to
 {and, or, implies, bottom} plus box in K4 mode.
@@ -94,10 +105,11 @@ def _intern_table() -> tuple[dict, object]:
     return live, forget
 
 
-def _interned(cls: type, key, values: tuple, h: int, boxed: bool) -> "Formula":
+def _interned(cls: type, key, values: tuple, h: int, boxed: bool,
+              text: Optional[str] = None) -> "Formula":
     """The live node of `cls` under `key`, made from `values` (its fields, in
-    `__match_args__` order) if there is none.  Constructors call this when
-    their unlocked lookup finds no live node."""
+    `__match_args__` order) and cached rendering `text` if there is none.
+    Constructors call this when their unlocked lookup finds no live node."""
     with _lock:
         ref = cls._live.get(key)
         node = None if ref is None else ref()
@@ -107,18 +119,27 @@ def _interned(cls: type, key, values: tuple, h: int, boxed: bool) -> "Formula":
                 _init(node, name, value)
             _init(node, "_hash", h)
             _init(node, "boxed", boxed)
+            _init(node, "_text", text)
             ref = _Ref(node, cls._forget)
             ref.key = key
             cls._live[key] = ref
         return node
 
 
+# precedence levels used by the printer; higher binds tighter
+_PREC_IMPL = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_UNARY = 4
+
+
 class Formula:
     """A formula node.  Only the six subclasses below are ever built, and
     only through their constructors, which intern them."""
 
-    __slots__ = ("_hash", "boxed", "__weakref__")
+    __slots__ = ("_hash", "boxed", "_text", "__weakref__")
     __match_args__: tuple[str, ...] = ()
+    _prec = _PREC_UNARY
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,7 +178,8 @@ class Var(Formula):
             node = ref()
             if node is not None:
                 return node
-        return _interned(cls, name, (name,), hash((_VAR, zlib.crc32(name.encode()))), False)
+        return _interned(cls, name, (name,), hash((_VAR, zlib.crc32(name.encode()))), False,
+                         name)
 
 
 class Bottom(Formula):
@@ -189,18 +211,21 @@ class _Binary(Formula):
 class And(_Binary):
     __slots__ = ()
     _tag = _AND
+    _prec, _symbol = _PREC_AND, " & "
     _live, _forget = _intern_table()
 
 
 class Or(_Binary):
     __slots__ = ()
     _tag = _OR
+    _prec, _symbol = _PREC_OR, " | "
     _live, _forget = _intern_table()
 
 
 class Implies(_Binary):
     __slots__ = ()
     _tag = _IMPLIES
+    _prec, _symbol = _PREC_IMPL, " -> "
     _live, _forget = _intern_table()
 
 
@@ -222,6 +247,7 @@ class Box(Formula):
 BOT: Bottom = object.__new__(Bottom)
 _init(BOT, "_hash", hash((_BOT,)))
 _init(BOT, "boxed", False)
+_init(BOT, "_text", "bot")
 
 #: A substitution is a finite map from variable names to formulas.
 Substitution = Mapping[str, Formula]
@@ -337,12 +363,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# precedence levels used by the printer; higher binds tighter
-_PREC_IMPL = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-
 
 class _Parser:
     def __init__(self, text: str, mode: Mode):
@@ -454,27 +474,68 @@ def parse_formula_at(text: str, mode: Mode, offset: int) -> Formula:
         raise ParseError(exc.message, column=offset + (exc.position or 0) + 1) from None
 
 
+#: Longest rendering that a node keeps in its `_text` slot.
+_TEXT_LIMIT = 80
+
+
 def render(a: Formula) -> str:
-    """ASCII rendering; parse_formula(render(a), mode) reproduces the tree."""
+    """ASCII rendering; parse_formula(render(a), mode) reproduces the tree.
 
-    def go(f: Formula, min_prec: int) -> str:
-        if isinstance(f, Var):
-            return f.name
-        if isinstance(f, Bottom):
-            return "bot"
-        if isinstance(f, Implies):
-            if isinstance(f.right, Bottom):
-                return "~" + go(f.left, _PREC_UNARY + 1)
-            body = go(f.left, _PREC_IMPL + 1) + " -> " + go(f.right, _PREC_IMPL)
-            return "(" + body + ")" if min_prec > _PREC_IMPL else body
-        if isinstance(f, Or):
-            body = go(f.left, _PREC_OR) + " | " + go(f.right, _PREC_OR + 1)
-            return "(" + body + ")" if min_prec > _PREC_OR else body
-        if isinstance(f, And):
-            body = go(f.left, _PREC_AND) + " & " + go(f.right, _PREC_AND + 1)
-            return "(" + body + ")" if min_prec > _PREC_AND else body
-        if isinstance(f, Box):
-            return "[]" + go(f.inner, _PREC_UNARY + 1)
-        raise TypeError(f"not a formula: {f!r}")
+    A node's rendering, once made, is kept on the node if it is at most
+    `_TEXT_LIMIT` characters long, and every later render of the node or of
+    a formula containing it reuses that text."""
+    text = a._text
+    if text is not None:
+        return text
+    cls = type(a)
+    if cls is Box:
+        inner = a.inner
+        text = "[]" + _bracketed(render(inner), inner, _PREC_UNARY)
+    elif cls is Implies and a.right is BOT:
+        left = a.left
+        text = "~" + _bracketed(render(left), left, _PREC_UNARY)
+    elif isinstance(a, _Binary):
+        left, right, prec = a.left, a.right, cls._prec
+        # `->` groups to the right, `|` and `&` to the left
+        left_prec, right_prec = (prec + 1, prec) if cls is Implies else (prec, prec + 1)
+        text = (_bracketed(render(left), left, left_prec) + cls._symbol
+                + _bracketed(render(right), right, right_prec))
+    else:
+        raise TypeError(f"not a formula: {a!r}")
+    if len(text) <= _TEXT_LIMIT:
+        _init(a, "_text", text)
+    return text
 
-    return go(a, 0)
+
+def _bracketed(text: str, f: Formula, min_prec: int) -> str:
+    """`text`, the rendering of `f`, in brackets if `f` binds less tightly
+    than `min_prec`.  Negation binds like the unary connectives."""
+    prec = f._prec
+    if prec >= min_prec or (prec == _PREC_IMPL and f.right is BOT):
+        return text
+    return "(" + text + ")"
+
+
+def index_renderings(a: Formula, table: dict[str, Formula]) -> None:
+    """Enter each subformula of `a` that keeps its rendering (see `render`)
+    in `table` under that text.  The walk does not go below a node whose
+    text `table` already holds: its subformulas are taken to be there too.
+    Of a formula too deep to render, only the subformulas rendered before
+    are entered."""
+    try:
+        render(a)
+    except RecursionError:
+        pass
+    stack = [a]
+    while stack:
+        f = stack.pop()
+        text = f._text
+        if text is not None:
+            if text in table:
+                continue
+            table[text] = f
+        if isinstance(f, _Binary):
+            stack.append(f.left)
+            stack.append(f.right)
+        elif isinstance(f, Box):
+            stack.append(f.inner)

@@ -14,12 +14,16 @@ Proof scripts are a line-based text format:
 
 Step numbers run consecutively from 1; rule indices point strictly backwards.
 
-The reader parses each distinct formula text once per script.  An `mp`,
-`mt`, `sb`, `ns` or `rn` statement is fixed by its premises, so when the
-conclusion that the rule table gives renders as the step's text, the reader
-takes that formula instead of parsing the text; it is the very object a
-parse would return.  Any other text is parsed.  The reader trusts nothing
-it reads: `check_inference` still checks every step.
+The reader parses each distinct formula text once per script, and enters
+the cached rendering of every subformula it has read in the same per-call
+table, so a substitution entry or statement that spells an earlier
+subformula is looked up, not parsed.  An `mp`, `mt`, `sb`, `ns` or `rn`
+statement is fixed by its premises, so when the conclusion that the rule
+table gives renders as the step's text, the reader takes that formula
+instead of parsing the text.  Either way it is the very object a parse
+would return, since `parse_formula(render(f)) is f`.  Any other text is
+parsed.  The reader trusts nothing it reads: `check_inference` still
+checks every step.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .formulas import (
     apply_substitution,
     check_mode,
     file_lines,
+    index_renderings,
     is_variable_name,
     match_instance,
     parse_formula,
@@ -498,8 +503,9 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
 
     def read(formula_text: str, offset: int, just: Optional[Justification] = None) -> Formula:
         """The formula in `formula_text`, which starts at `offset` of its
-        line: the one that the premises of `just` give, if it renders as the
-        text, else the text parsed.  Each distinct text is read once."""
+        line: an earlier subformula that renders as the text, else the one
+        that the premises of `just` give, if it renders as the text, else
+        the text parsed.  Each distinct text is read once."""
         key = formula_text.strip()
         formula = parsed.get(key)
         if formula is None:
@@ -507,6 +513,7 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
                 formula = _given(just, steps, mode, key)
             if formula is None:
                 formula = parse_formula_at(formula_text, mode, offset)
+            index_renderings(formula, parsed)
             parsed[key] = formula
         return formula
 

@@ -1,9 +1,13 @@
 import copy
+import gc
+import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,9 @@ from hypothesis import given, strategies as st
 
 import lukas
 from conftest import formula_strategy
+from generators import random_formula
 from lukas.formulas import (
+    _TEXT_LIMIT,
     BOT,
     And,
     Bottom,
@@ -22,6 +28,8 @@ from lukas.formulas import (
     ParseError,
     Var,
     apply_substitution,
+    conj,
+    disj,
     has_box,
     match_instance,
     neg,
@@ -194,6 +202,156 @@ def test_threads_building_one_formula_get_one_object():
                 assert all(x is y for x, y in zip(results[0], results[w], strict=True))
     finally:
         sys.setswitchinterval(old)
+
+
+# --- cached rendering ----------------------------------------------------------
+
+
+def reference_render(a):
+    """The renderer without a cache: one recursive walk of the whole tree.
+    `render` must give the same text whatever it has cached."""
+
+    def go(f, min_prec):
+        if isinstance(f, Var):
+            return f.name
+        if isinstance(f, Bottom):
+            return "bot"
+        if isinstance(f, Implies):
+            if isinstance(f.right, Bottom):
+                return "~" + go(f.left, 5)
+            body = go(f.left, 2) + " -> " + go(f.right, 1)
+            return "(" + body + ")" if min_prec > 1 else body
+        if isinstance(f, Or):
+            body = go(f.left, 2) + " | " + go(f.right, 3)
+            return "(" + body + ")" if min_prec > 2 else body
+        if isinstance(f, And):
+            body = go(f.left, 3) + " & " + go(f.right, 4)
+            return "(" + body + ")" if min_prec > 3 else body
+        if isinstance(f, Box):
+            return "[]" + go(f.inner, 5)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(a, 0)
+
+
+_renames = itertools.count()
+
+
+def _unrendered(f):
+    """`f` with its variables renamed apart from every formula built so far,
+    so that none of its compound nodes has a cached rendering yet."""
+    n = next(_renames)
+    return apply_substitution({v: Var(f"{v}_{n}") for v in variables(f)}, f)
+
+
+def _render_in_random_order(rng, f):
+    """Render a random share of the subformulas of `f`, in random order."""
+    parts = list(subformulas(f))
+    rng.shuffle(parts)
+    for g in parts[:rng.randrange(len(parts) + 1)]:
+        render(g)
+
+
+@given(formula_strategy(modal=True), st.randoms(use_true_random=False))
+def test_render_does_not_depend_on_what_was_rendered_first(f, rng):
+    f = _unrendered(f)
+    _render_in_random_order(rng, f)
+    assert render(f) == reference_render(f)
+    assert all(render(g) == reference_render(g) for g in subformulas(f))
+
+
+def test_render_matches_the_reference_on_seeded_formulas():
+    rng = random.Random(11)
+    for mode in (Mode.INT, Mode.K4):
+        for _ in range(300):
+            f = _unrendered(random_formula(rng, ("p", "q", "r"), depth=6, mode=mode))
+            _render_in_random_order(rng, f)
+            assert render(f) == reference_render(f)
+            assert parse_formula(render(f), mode) is f
+
+
+def test_threads_rendering_shared_formulas_get_one_text():
+    """Four threads render the same fresh formulas, and their subformulas,
+    at once and in different orders; every thread must get the reference
+    text."""
+    workers, rounds = 4, 40
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            formulas = [_unrendered(random_formula(random.Random(r * 100 + k),
+                                                   ("p", "q", "r"), depth=6, mode=Mode.K4))
+                        for k in range(20)]
+            results: list = [None] * workers
+            barrier = threading.Barrier(workers)
+
+            def work(w: int) -> None:
+                parts = [g for f in formulas for g in subformulas(f)]
+                random.Random(w).shuffle(parts)
+                barrier.wait(timeout=30)
+                results[w] = [render(g) for g in parts + formulas][-len(formulas):]
+
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            expected = [reference_render(f) for f in formulas]
+            assert all(texts == expected for texts in results)
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("shape", ["or-chain", "negation-tower"])
+def test_deep_formulas_render_one_frame_per_level(shape):
+    """A 900-deep formula renders within the default recursion limit, so
+    the cache costs no extra stack frame per level of nesting."""
+    assert sys.getrecursionlimit() <= 1000
+    if shape == "or-chain":
+        names = [f"d{i}" for i in range(901)]
+        f, expected = disj([Var(n) for n in names]), " | ".join(names)
+    else:
+        f, expected = Var("t"), "t"
+        for _ in range(900):
+            f = neg(f)
+        expected = "~" * 900 + "t"
+    assert render(f) == expected
+    assert render(f) == expected
+
+
+def _balanced_and(parts):
+    while len(parts) > 1:
+        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+@pytest.mark.parametrize("shape", ["negation-tower", "comb"])
+def test_cached_renderings_stay_within_a_multiple_of_the_text(shape):
+    """Each node keeps at most `_TEXT_LIMIT` characters of rendering, so
+    what `render` leaves behind grows with the text, not with text times
+    depth.  Without the limit the tower keeps over 100 times its text and
+    the comb over 20 times; with it, both keep under 8 times."""
+    if shape == "negation-tower":      # 100 negations of a wide conjunction
+        f = _balanced_and([Var(f"x{i}") for i in range(2000)])
+        for _ in range(100):
+            f = neg(f)
+    else:                              # 500 disjoint 20-deep chains under one conjunction
+        f = _balanced_and([disj([Var(f"c{k}_{i}") for i in range(21)]) for k in range(500)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        size = len(render(f))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 12 * size, (kept, size)
+    assert all(g._text is None or len(g._text) <= _TEXT_LIMIT
+               for g in subformulas(f) if not isinstance(g, Var))
+    assert render(f) == reference_render(f)
 
 
 def _run_python(code: str, **env: str) -> str:

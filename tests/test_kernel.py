@@ -356,6 +356,68 @@ def test_builder_applies_a_rule_to_the_steps_it_names():
     assert check_inference(INT, builder.conclude(conclusion)).ok
 
 
+EARLIER = """mode int
+hyp + (a | b) & c
+1 + p -> q -> p ; ax
+2 + (a | b) & c -> d -> (a | b) & c ; sb 1 {{ p := (a | b) & c ; q := d }}
+3 + (a | b) & c ; hyp
+4 + {mp} ; mp 2 3
+5 + {sb} ; sb 1 {{ p := {rhs} ; q := c }}
+"""
+EARLIER_CANONICAL = {"mp": "d -> (a | b) & c", "sb": "a | b -> c -> a | b", "rhs": "a | b"}
+
+
+def _counting(monkeypatch, name):
+    """Texts passed to `lukas.kernel.<name>`, which is wrapped to record them."""
+    import lukas.kernel
+    seen = []
+    inner = getattr(lukas.kernel, name)
+
+    def wrapper(*args):
+        seen.append(args[-1] if name == "_given" else args[0].strip())
+        return inner(*args)
+
+    monkeypatch.setattr(lukas.kernel, name, wrapper)
+    return seen
+
+
+def test_reader_takes_earlier_subformulas_without_parsing(monkeypatch):
+    """An `mp` statement and a substitution entry that spell a subformula of
+    an earlier step read as that formula, with neither the parser nor the
+    rule table asked; they are the objects a parse gives."""
+    text = EARLIER.format(**EARLIER_CANONICAL)
+    parses, givens = _counting(monkeypatch, "parse_formula_at"), _counting(monkeypatch, "_given")
+    _mode, inf = parse_proof_script(text)
+    assert parses == ["(a | b) & c", "p -> q -> p", "d"]
+    assert givens == ["p -> q -> p", "(a | b) & c -> d -> (a | b) & c", "a | b -> c -> a | b"]
+    assert dict(inf.steps[4].justification.mapping)["p"] is parse_formula("a | b")
+    assert inf.steps[3].statement.formula is parse_formula("d -> (a | b) & c")
+    assert check_inference(INT, inf).ok
+    assert_steps_read_as_parsed(text)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("mp", "d  ->  (a | b) & c"), ("mp", "d -> ((a | b) & c)"), ("mp", "d → (a ∨ b) ∧ c"),
+    ("rhs", "  a | b  "), ("rhs", "(a | b)"), ("rhs", "a ∨ b"), ("rhs", "a|b"),
+])
+def test_reader_parses_other_spellings_of_earlier_subformulas(field, text):
+    canonical = parse_proof_script(EARLIER.format(**EARLIER_CANONICAL))
+    script = EARLIER.format(**{**EARLIER_CANONICAL, field: text})
+    assert parse_proof_script(script) == canonical
+    assert_steps_read_as_parsed(script)
+
+
+@pytest.mark.parametrize("field, text, column", [
+    ("rhs", "(a | b", 46), ("rhs", "a | b)", 44), ("mp", "d -> (a | b) &", 20),
+])
+def test_reader_errors_near_earlier_subformulas_name_line_and_column(field, text, column):
+    from lukas.formulas import ParseError
+    script = EARLIER.format(**{**EARLIER_CANONICAL, field: text})
+    with pytest.raises(ParseError) as err:
+        parse_proof_script(script)
+    assert (err.value.line, err.value.column) == (6 if field == "mp" else 7, column)
+
+
 def test_reader_parses_what_is_too_deep_to_render():
     # a left-nested chain parses without recursion, but renders with it
     chain = " & ".join(["q"] * 1500)
