@@ -312,10 +312,9 @@ def test_deep_formulas_render_one_frame_per_level(shape):
         names = [f"d{i}" for i in range(901)]
         f, expected = disj([Var(n) for n in names]), " | ".join(names)
     else:
-        f, expected = Var("t"), "t"
+        f, expected = Var("t"), "~" * 900 + "t"
         for _ in range(900):
             f = neg(f)
-        expected = "~" * 900 + "t"
     assert render(f) == expected
     assert render(f) == expected
 

@@ -367,18 +367,18 @@ hyp + (a | b) & c
 EARLIER_CANONICAL = {"mp": "d -> (a | b) & c", "sb": "a | b -> c -> a | b", "rhs": "a | b"}
 
 
-def _counting(monkeypatch, name):
-    """Texts passed to `lukas.kernel.<name>`, which is wrapped to record them."""
+def _recording(monkeypatch, name):
+    """The argument tuples of every call to `lukas.kernel.<name>`."""
     import lukas.kernel
-    seen = []
+    calls = []
     inner = getattr(lukas.kernel, name)
 
     def wrapper(*args):
-        seen.append(args[-1] if name == "_given" else args[0].strip())
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(lukas.kernel, name, wrapper)
-    return seen
+    return calls
 
 
 def test_reader_takes_earlier_subformulas_without_parsing(monkeypatch):
@@ -386,10 +386,11 @@ def test_reader_takes_earlier_subformulas_without_parsing(monkeypatch):
     an earlier step read as that formula, with neither the parser nor the
     rule table asked; they are the objects a parse gives."""
     text = EARLIER.format(**EARLIER_CANONICAL)
-    parses, givens = _counting(monkeypatch, "parse_formula_at"), _counting(monkeypatch, "_given")
+    parses, givens = _recording(monkeypatch, "parse_formula_at"), _recording(monkeypatch, "_given")
     _mode, inf = parse_proof_script(text)
-    assert parses == ["(a | b) & c", "p -> q -> p", "d"]
-    assert givens == ["p -> q -> p", "(a | b) & c -> d -> (a | b) & c", "a | b -> c -> a | b"]
+    assert [text.strip() for text, _mode, _offset in parses] == ["(a | b) & c", "p -> q -> p", "d"]
+    assert [text for *_, text in givens] == [
+        "p -> q -> p", "(a | b) & c -> d -> (a | b) & c", "a | b -> c -> a | b"]
     assert dict(inf.steps[4].justification.mapping)["p"] is parse_formula("a | b")
     assert inf.steps[3].statement.formula is parse_formula("d -> (a | b) & c")
     assert check_inference(INT, inf).ok
