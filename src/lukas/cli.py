@@ -38,7 +38,13 @@ from .semantics import (
     render_model_file,
     tabular_oracle,
 )
-from .transforms import extract_positive, symmetry_transform
+from .transforms import (
+    SymmetryDefectError,
+    TransformError,
+    extract_positive,
+    require_all_positive,
+    symmetry_transform,
+)
 
 
 class _Output:
@@ -175,7 +181,14 @@ def cmd_transform(args, out: _Output) -> int:
         return 0
     if oracle is None:
         raise ValueError("transform symmetry needs --system or --frames")
+    require_all_positive(inf)
+    report = check_inference(ds, inf)
+    if not report.ok:
+        raise TransformError(f"input inference fails checking: {report}")
     index, result = symmetry_transform(ds, inf, oracle)
+    report = check_inference(ds, result)
+    if not report.ok:
+        raise SymmetryDefectError(f"constructed refutation fails checking: {report}")
     script = f"# refutes hypothesis {index}\n" + render_proof_script(mode, result)
     out.verdict("REFUTATION", payload=script, index=index)
     return 0

@@ -210,7 +210,7 @@ def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inf
     result = builder.conclude(builder.splice(refutation, mapping={1: anchor}))
     report = check_inference(ds, result)
     if not report.ok:
-        raise SearchExhaustedError(f"discharged refutation fails checking: {report}")
+        raise ValueError(f"discharged refutation fails checking: {report}")
     return result
 
 

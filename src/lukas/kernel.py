@@ -1,9 +1,10 @@
 """Signed statements, deductive systems, and the inference checker.
 
-Everything downstream (transforms, axiomatizer, CLI) must push its output
-through `check_inference`.  The trusted base is that function and the rule
-table it reads, one justification class per rule; nothing else in the
-package is trusted.
+Every proof the package emits is pushed through `check_inference` just
+before it is emitted; the layers that build it (prover, transforms,
+axiomatizer) do not check their own steps.  The trusted base is that
+function and the rule table it reads, one justification class per rule;
+nothing else in the package is trusted.
 
 Proof scripts are a line-based text format:
 
@@ -260,14 +261,12 @@ class Inference:
         return self.steps[-1].statement
 
     def support(self, target: int) -> set[int]:
-        """Step `target` and every step it rests on, transitively."""
-        out: set[int] = set()
-        stack = [target]
-        while stack:
-            i = stack.pop()
-            if i not in out:
-                out.add(i)
-                stack.extend(self.steps[i - 1].justification.refs())
+        """Step `target` and every step it rests on, in one backward sweep:
+        references must point backwards, as in a builder or a checked inference."""
+        out = {target}
+        for i in range(target, 0, -1):
+            if i in out:
+                out.update(self.steps[i - 1].justification.refs())
         return out
 
 
@@ -286,7 +285,8 @@ class ProofBuilder:
         self.index: dict[Statement, int] = {}
 
     def add(self, statement: Statement, just: Justification) -> int:
-        """The index of `statement`, appended with `just` if it is new."""
+        """The index of `statement`, appended with `just` if it is new.
+        Nothing here verifies that `just` yields `statement`."""
         existing = self.index.get(statement)
         if existing is not None:
             return existing
@@ -318,13 +318,16 @@ class ProofBuilder:
 
     def conclude(self, index: int) -> Inference:
         """The support of the statement at `index`, in order, so that it
-        comes last; the steps built so far when they all are its support."""
+        comes last; the steps built so far when they all are its support.
+        Statements in a builder are distinct, so one pass renumbers them."""
         built = Inference(self.hypotheses, tuple(self.steps))
-        if index == len(built) and len(built.support(index)) == index:
+        support = sorted(built.support(index))
+        if len(support) == len(built):
             return built
-        support = ProofBuilder(self.hypotheses)
-        support.splice(built, index)
-        return Inference(self.hypotheses, tuple(support.steps))
+        renumber = {old: new for new, old in enumerate(support, start=1)}
+        steps = (self.steps[old - 1] for old in support)
+        return Inference(self.hypotheses, tuple(
+            Step(s.statement, s.justification.remap(renumber)) for s in steps))
 
 
 # --- deductive systems -----------------------------------------------------

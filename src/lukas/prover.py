@@ -6,6 +6,9 @@ terminating LJT-style calculus).  A successful run yields a typed lambda
 term; lambdas are then eliminated by bracket abstraction over the Hilbert
 basis, and the result is elaborated through a `ProofBuilder` straight into
 an all-positive kernel `Inference` of axioms, MP and substitution steps.
+Each axiom constant keeps the substitution it was instantiated by, and each
+term its type, so elaboration writes every step down without deriving or
+matching it again; the caller's `check_inference` is the one re-derivation.
 A failed run is backed by an independent semantic countermodel
 search over small rooted posets, so the two outcomes never rest on the same
 code path.
@@ -33,7 +36,6 @@ from .formulas import (
     apply_substitution,
     check_mode,
     has_box,
-    match_instance,
     render,
     subformulas,
     variables,
@@ -95,6 +97,7 @@ class TmVar(Term):
 @dataclass(frozen=True)
 class TmConst(Term):
     axiom: int
+    binding: tuple[tuple[str, Formula], ...]    # as in `Sb.mapping`
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,6 @@ def _var(name: str, type_: Formula) -> TmVar:
     return TmVar(type_, frozenset((name,)), name)
 
 
-def _const(axiom: int, type_: Formula) -> TmConst:
-    return TmConst(type_, frozenset(), axiom)
-
-
 def _app(fun: Term, arg: Term) -> TmApp:
     assert isinstance(fun.type, Implies) and fun.type.left == arg.type, \
         f"ill-typed application: {render(fun.type)} to {render(arg.type)}"
@@ -129,9 +128,8 @@ def _lam(name: str, var_type: Formula, body: Term) -> TmLam:
 
 
 def _axiom_instance(axiom: int, **binding: Formula) -> TmConst:
-    base = IPC_AXIOMS[axiom]
-    inst = apply_substitution(binding, base)
-    return _const(axiom, inst)
+    inst = apply_substitution(binding, IPC_AXIOMS[axiom])
+    return TmConst(inst, frozenset(), axiom, tuple(sorted(binding.items())))
 
 
 def _mk_fst(pair: Term) -> Term:
@@ -328,7 +326,8 @@ def _eliminate_lambdas(term: Term) -> Term:
     if isinstance(term, (TmVar, TmConst)):
         return term
     if isinstance(term, TmApp):
-        return _app(_eliminate_lambdas(term.fun), _eliminate_lambdas(term.arg))
+        fun, arg = _eliminate_lambdas(term.fun), _eliminate_lambdas(term.arg)
+        return term if fun is term.fun and arg is term.arg else _app(fun, arg)
     if isinstance(term, TmLam):
         return _abstract(term.var, term.var_type, _eliminate_lambdas(term.body))
     raise TypeError(f"not a term: {term!r}")
@@ -338,19 +337,17 @@ def _eliminate_lambdas(term: Term) -> Term:
 
 
 def _load_term(builder: ProofBuilder, term: Term) -> int:
-    existing = builder.index.get(asserts(term.type))
+    statement = asserts(term.type)
+    existing = builder.index.get(statement)
     if existing is not None:
         return existing
     if isinstance(term, TmConst):
-        base = IPC_AXIOMS[term.axiom]
-        source = builder.add(asserts(base), Axiom())
-        binding = match_instance(base, term.type)
-        assert binding is not None, "constant type is not an axiom instance"
-        return builder.apply(Sb.of(source, binding))
+        source = builder.add(asserts(IPC_AXIOMS[term.axiom]), Axiom())
+        return builder.add(statement, Sb(source, term.binding))
     if isinstance(term, TmApp):
         major = _load_term(builder, term.fun)
         minor = _load_term(builder, term.arg)
-        return builder.apply(MP(major, minor))
+        return builder.add(statement, MP(major, minor))
     raise AssertionError(f"open or unelaborated term: {term!r}")
 
 
@@ -456,12 +453,8 @@ def _candidate_pool(goal: Formula) -> list[Formula]:
 
 def _instances(h: Formula, goal: Formula) -> list[dict[str, Formula]]:
     names = sorted(variables(h))
-    pool = _candidate_pool(goal)
-    if not names:
-        return [{}]
-    out = [dict(zip(names, choice))
-           for choice in itertools.product(pool, repeat=len(names))]
-    return out
+    return [dict(zip(names, choice))
+            for choice in itertools.product(_candidate_pool(goal), repeat=len(names))]
 
 
 def derive_from_hypotheses(hypotheses: Sequence[Formula],

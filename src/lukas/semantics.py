@@ -329,14 +329,6 @@ def falsifying_model(frame: Frame, a: Formula,
     return None
 
 
-def frame_validates(frame: Frame, statement: Statement,
-                    budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Statement validity with the frame standing for its whole model class:
-    assertions must be frame-valid, rejections must not be."""
-    valid = frame_valid(frame, statement.formula, budget)
-    return valid if statement.sign is Sign.ASSERT else not valid
-
-
 def check_adequacy(frame: Frame,
                    ds: DeductiveSystem,
                    budget: Budget = DEFAULT_BUDGET) -> bool:

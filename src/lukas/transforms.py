@@ -2,7 +2,8 @@
 and the refutation transformer that turns a positive derivation of an
 underivable formula into a refutation of one of its hypotheses.
 
-Every output is pushed back through `check_inference` before it is returned;
+Neither pass checks what it is given or what it returns: its caller checks
+the input and pushes every output it emits through `check_inference`, so
 the transformer is never trusted on its own.
 """
 
@@ -36,7 +37,6 @@ from .kernel import (
     Sb,
     Sign,
     Step,
-    check_inference,
     rejects,
 )
 from .prover import derive, derive_lemma
@@ -104,26 +104,29 @@ def _hypothesis_free(inf: Inference, target: int) -> bool:
                    for i in inf.support(target))
 
 
-def symmetry_transform(ds: DeductiveSystem,
-                       inf: Inference,
-                       derivable: Callable[[Formula], bool],
-                       ) -> tuple[int, Inference]:
-    """Given an all-positive checked inference of +B from +A1..+An where the
-    oracle says B is underivable, produce (i, ref) with ref a checked
-    inference of -Ai from the single hypothesis -B.
-
-    `derivable` must soundly decide derivability in the system (a tabular
-    semantic oracle at desk scale).
-    """
+def require_all_positive(inf: Inference) -> None:
+    """Raise `TransformError` unless `inf` is a nonempty all-positive
+    inference from positive hypotheses, the input the transformer takes."""
     if not inf.steps:
         raise TransformError("empty inference")
     if any(s.statement.sign is not Sign.ASSERT for s in inf.steps):
         raise TransformError("transformer requires an all-positive inference")
     if any(h.sign is not Sign.ASSERT for h in inf.hypotheses):
         raise TransformError("transformer requires positive hypotheses")
-    report = check_inference(ds, inf)
-    if not report.ok:
-        raise TransformError(f"input inference fails checking: {report}")
+
+
+def symmetry_transform(ds: DeductiveSystem,
+                       inf: Inference,
+                       derivable: Callable[[Formula], bool],
+                       ) -> tuple[int, Inference]:
+    """Given an all-positive inference of +B from +A1..+An that checks in
+    `ds`, where the oracle says B is underivable, produce (i, ref) with ref
+    an inference of -Ai from the single hypothesis -B; ref is not checked.
+
+    `derivable` must soundly decide derivability in the system (a tabular
+    semantic oracle at desk scale).
+    """
+    require_all_positive(inf)
     conclusion = inf.conclusion.formula
     if derivable(conclusion):
         raise OracleInconsistencyError(
@@ -237,8 +240,4 @@ def symmetry_transform(ds: DeductiveSystem,
 
     hypothesis_index = recurse(len(inf.steps), 1)
     target = rejects(inf.hypotheses[hypothesis_index - 1].formula)
-    result = builder.conclude(builder.index[target])
-    report = check_inference(ds, result)
-    if not report.ok:
-        raise SymmetryDefectError(f"constructed refutation fails checking: {report}")
-    return hypothesis_index, result
+    return hypothesis_index, builder.conclude(builder.index[target])

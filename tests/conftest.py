@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lukas.formulas import BOT, And, Box, Implies, Or, Var
+from lukas.kernel import Sign
+from lukas.semantics import DEFAULT_BUDGET, frame_valid
 
 
 def formula_strategy(names=("p", "q", "r"), max_depth=4, modal=False):
@@ -27,6 +29,13 @@ def formula_strategy(names=("p", "q", "r"), max_depth=4, modal=False):
         return st.one_of(*connectives)
 
     return st.recursive(leaves, extend, max_leaves=2 ** max_depth)
+
+
+def frame_validates(frame, statement, budget=DEFAULT_BUDGET):
+    """Statement validity with the frame standing for its whole model class:
+    assertions must be frame-valid, rejections must not be."""
+    valid = frame_valid(frame, statement.formula, budget)
+    return valid if statement.sign is Sign.ASSERT else not valid
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import io
 import random
 import time
 
+from conftest import frame_validates
 from generators import random_formula, random_mixed_inference, random_refutable_instance, tautology
 from lukas.cli import main as cli_main
 from lukas.complete_sets import (
@@ -28,7 +29,6 @@ from lukas.semantics import (
     enumerate_rooted_posets,
     frame_from_pairs,
     frame_valid,
-    frame_validates,
     model_validates,
     p_morphic_reduct_exists,
     point_frame,

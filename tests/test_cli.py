@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from lukas.cli import main
-from lukas.kernel import parse_proof_script
+from lukas.formulas import Var
+from lukas.kernel import Axiom, Hypothesis, Inference, Step, parse_proof_script, rejects
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
@@ -173,6 +174,52 @@ def test_transform_symmetry(workdir, capsys):
     proof.write_text("\n".join(lines[1:]) + "\n")
     code, out = run(capsys, "check", str(proof))
     assert code == 0
+
+
+def test_transform_symmetry_checks_its_input(workdir, capsys):
+    # step 3 is dead, so only the check of the whole input can see it
+    (workdir / "wrong.proof").write_text(
+        "mode int\n"
+        "hyp + p\n"
+        "hyp + p -> q\n"
+        "1 + p -> q ; hyp\n"
+        "2 + p ; hyp\n"
+        "3 + r ; mp 1 2\n"
+        "4 + q ; mp 1 2\n")
+    code = main(["transform", "symmetry", str(workdir / "wrong.proof"),
+                 "--frames", str(workdir / "chain2.frame")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: input inference fails checking: ERR 3 formula-mismatch\n"
+
+
+def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
+    import lukas.cli
+    unsound = Inference((rejects(Var("q")),), (Step(rejects(Var("p")), Hypothesis()),))
+    monkeypatch.setattr(lukas.cli, "symmetry_transform", lambda ds, inf, oracle: (1, unsound))
+    code = main(["transform", "symmetry", str(workdir / "ok.proof"),
+                 "--frames", str(workdir / "chain2.frame")])
+    captured = capsys.readouterr()
+    assert code == 2 and "REFUTATION" not in captured.out
+    assert captured.err == ("error: constructed refutation fails checking: "
+                            "ERR 1 hypothesis-not-present\n")
+
+
+def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
+    """A refutation that fails its final check is a defect, not "not found"."""
+    import lukas.complete_sets
+    transform = lukas.complete_sets.symmetry_transform
+
+    def broken(ds, inf, oracle):
+        index, ref = transform(ds, inf, oracle)
+        return index, Inference(ref.hypotheses,
+                                ref.steps[:-1] + (Step(ref.conclusion, Axiom()),))
+
+    monkeypatch.setattr(lukas.complete_sets, "symmetry_transform", broken)
+    code = main(["refute", "--system", str(CORPUS / "cpc.ds"), "p | ~q"])
+    captured = capsys.readouterr()
+    assert code == 2 and "REFUTED" not in captured.out
+    assert captured.err.startswith("error: discharged refutation fails checking: ERR ")
 
 
 def test_usage_error_exit_code(workdir, capsys):

@@ -18,6 +18,8 @@ from lukas.kernel import (
     RN,
     RS,
     Sb,
+    Sign,
+    Statement,
     Step,
     asserts,
     check_inference,
@@ -244,6 +246,52 @@ def test_splice_copies_only_the_support_of_upto():
     assert mapping == {1: 1, 5: 2}
     # spliced again, every statement is already there
     assert builder.splice(ahead) == 2 and len(builder.steps) == 2
+
+
+def _support_by_stack(inf, target):
+    """Reference for `Inference.support`: a depth-first walk of the refs."""
+    out, stack = set(), [target]
+    while stack:
+        i = stack.pop()
+        if i not in out:
+            out.add(i)
+            stack.extend(inf.steps[i - 1].justification.refs())
+    return out
+
+
+def _conclude_by_splice(builder, index):
+    """Reference for `ProofBuilder.conclude`: the support spliced, step by
+    step, into a fresh builder."""
+    built = Inference(builder.hypotheses, tuple(builder.steps))
+    if index == len(built) and len(_support_by_stack(built, index)) == index:
+        return built
+    fresh, mapping = ProofBuilder(builder.hypotheses), {}
+    for old in sorted(_support_by_stack(built, index)):
+        step = built.steps[old - 1]
+        mapping[old] = fresh.add(step.statement, step.justification.remap(mapping))
+    return Inference(builder.hypotheses, tuple(fresh.steps))
+
+
+def test_conclude_and_support_agree_with_their_references():
+    rng = random.Random(5)
+    for _ in range(200):
+        builder = ProofBuilder((asserts(Var("h")),))
+        for _ in range(rng.randrange(1, 30)):
+            rules = [Axiom(), Hypothesis()]
+            if builder.steps:
+                i, j = (rng.randrange(1, len(builder.steps) + 1) for _ in range(2))
+                rules += [MP(i, j), MT(j, i), Sb.of(i, {"p": Var("q")}), RS(j), NS(i)]
+            just = rng.choice(rules)
+            sign = Sign.ASSERT if rng.random() < 0.7 else Sign.REJECT
+            builder.add(Statement(sign, Var(f"v{rng.randrange(40)}")), just)
+        built = Inference(builder.hypotheses, tuple(builder.steps))
+        for index in range(1, len(built) + 1):
+            assert built.support(index) == _support_by_stack(built, index)
+            assert builder.conclude(index) == _conclude_by_splice(builder, index)
+    for _ in range(100):
+        inf = random_mixed_inference(rng, INT, length=rng.randrange(2, 12))
+        for index in range(1, len(inf) + 1):
+            assert inf.support(index) == _support_by_stack(inf, index)
 
 
 def test_remap_repoints_every_reference():

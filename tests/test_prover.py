@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
-from lukas.formulas import Mode, parse_formula, render
-from lukas.kernel import asserts, check_inference, rejects, system
+from conftest import formula_strategy
+from lukas.formulas import Mode, match_instance, parse_formula, render
+from lukas.kernel import Sb, asserts, check_inference, rejects, system
 from lukas.prover import (
     countermodel_search,
     derive,
@@ -152,3 +154,27 @@ def test_countermodel_search_is_sound():
 
 def test_theorem_has_no_countermodel():
     assert countermodel_search(parse_formula("p -> p")) is None
+
+
+def _sb_steps_carry_their_match(inf):
+    """Every `sb` step of `inf` carries the substitution that matching its
+    source against its statement finds, and `inf` checks."""
+    assert check_inference(INT, inf).ok
+    for step in inf.steps:
+        if isinstance(step.justification, Sb):
+            base = inf.steps[step.justification.source - 1].statement.formula
+            binding = match_instance(base, step.statement.formula)
+            assert step.justification.mapping == tuple(sorted(binding.items()))
+
+
+def test_elaborated_substitutions_are_the_matched_ones():
+    for text in THEOREMS:
+        _sb_steps_carry_their_match(derive(parse_formula(text)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula_strategy(max_depth=3))
+def test_elaborated_substitutions_are_the_matched_ones_on_random_formulas(f):
+    inf = derive(f)
+    if inf is not None:
+        _sb_steps_carry_their_match(inf)

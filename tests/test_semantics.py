@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import formula_strategy
+from conftest import formula_strategy, frame_validates
 from generators import random_mixed_inference
 from lukas.formulas import (
     And,
@@ -30,7 +30,6 @@ from lukas.semantics import (
     forces,
     frame_from_pairs,
     frame_valid,
-    frame_validates,
     model_validates,
     p_morphic_reduct_exists,
     parse_frame_file,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import frame_validates
 from generators import random_mixed_inference, random_refutable_instance
 from lukas.complete_sets import build_system, jankov_family
 from lukas.formulas import Mode, Var, parse_formula
@@ -219,7 +220,6 @@ def test_symmetry_size_bound():
 
 
 def test_symmetry_output_respects_adequate_frames():
-    from lukas.semantics import frame_validates
     family = jankov_family(3)
     frame = chain_frame(2)
     oracle = tabular_oracle([frame], WIDE)
