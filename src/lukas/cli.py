@@ -185,7 +185,7 @@ def cmd_transform(args, out: _Output) -> int:
     report = check_inference(ds, inf)
     if not report.ok:
         raise TransformError(f"input inference fails checking: {report}")
-    index, result = symmetry_transform(ds, inf, oracle)
+    index, result = symmetry_transform(inf, oracle)
     report = check_inference(ds, result)
     if not report.ok:
         raise SymmetryDefectError(f"constructed refutation fails checking: {report}")

@@ -34,17 +34,19 @@ from .kernel import (
     AntiAxiom,
     Axiom,
     DeductiveSystem,
+    Hypothesis,
     Inference,
     MP,
     ProofBuilder,
     Sb,
     Sign,
+    Step,
     asserts,
     check_inference,
     rejects,
     system,
 )
-from .prover import derive, derive_from_hypotheses
+from .prover import derive_from_hypotheses, derive_into
 from .semantics import (
     MAX_POSET_WORLDS,
     Budget,
@@ -195,7 +197,7 @@ def build_refutation(ds: DeductiveSystem,
         positive = derive_from_hypotheses([a], entry.formula)
         if positive is None:
             continue
-        index, refutation = symmetry_transform(ds, positive, oracle)
+        index, refutation = symmetry_transform(positive, oracle)
         assert index == 1
         return _discharge(ds, refutation, entry.formula)
     raise SearchExhaustedError(
@@ -203,11 +205,13 @@ def build_refutation(ds: DeductiveSystem,
 
 
 def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inference:
-    """Replace the -C hypothesis of a refutation with the anti-axiom step."""
-    assert refutation.hypotheses == (rejects(anti),)
-    builder = ProofBuilder()
-    anchor = builder.add(rejects(anti), AntiAxiom())
-    result = builder.conclude(builder.splice(refutation, mapping={1: anchor}))
+    """Rewrite step 1 of a refutation from `- C ; hyp` to `- C ; antiax`,
+    with no hypotheses left, and check the result."""
+    first = Step(rejects(anti), Hypothesis())
+    if refutation.steps[:1] != (first,):
+        raise ValueError(f"discharged refutation fails checking: "
+                         f"step 1 is not {first.statement} ; hyp")
+    result = Inference((), (Step(first.statement, AntiAxiom()),) + refutation.steps[1:])
     report = check_inference(ds, result)
     if not report.ok:
         raise ValueError(f"discharged refutation fails checking: {report}")
@@ -246,14 +250,13 @@ def _stability_template(ds: DeductiveSystem,
     subst = {f"x{i}": (p if i == root else neg(p)) for i in range(2)}
     instance = apply_substitution(subst, two_chain.formula)
     target = parse_formula("~~p -> p")
-    lemma = derive(Implies(instance, target))
-    if lemma is None:
-        raise TemplateUnavailableError(
-            "stability lemma is not intuitionistically derivable")
     builder = ProofBuilder()
     axiom = builder.add(asserts(two_chain.formula), Axiom())
     premise = builder.apply(Sb.of(axiom, subst))
-    lemma_index = builder.splice(lemma)
+    lemma_index = derive_into(builder, Implies(instance, target))
+    if lemma_index is None:
+        raise TemplateUnavailableError(
+            "stability lemma is not intuitionistically derivable")
     template = builder.conclude(builder.apply(MP(lemma_index, premise)))
     report = check_inference(ds, template)
     if not report.ok:
@@ -269,17 +272,17 @@ def build_positive_cpc(a: Formula) -> Inference:
     if not oracle(a):
         raise RefutationPreconditionError(
             f"{render(a)} is not classically valid")
-    inf = derive(a)
-    if inf is None:
-        derived = derive(neg(neg(a)))
-        if derived is None:
+    builder = ProofBuilder()
+    index = derive_into(builder, a)
+    if index is None:
+        doubled_index = derive_into(builder, neg(neg(a)))
+        if doubled_index is None:
             raise TemplateUnavailableError(
                 f"double negation of {render(a)} did not prove; prover defect")
-        builder = ProofBuilder()
-        doubled_index = builder.splice(derived)
         stability = builder.splice(template)
         instance = builder.apply(Sb.of(stability, {"p": a}))
-        inf = builder.conclude(builder.apply(MP(instance, doubled_index)))
+        index = builder.apply(MP(instance, doubled_index))
+    inf = builder.conclude(index)
     report = check_inference(ds, inf)
     if not report.ok:
         raise TemplateUnavailableError(f"positive proof fails checking: {report}")

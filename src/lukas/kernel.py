@@ -301,19 +301,15 @@ class ProofBuilder:
         assert conclusion is not None and just.signs is not None, f"{just} does not apply"
         return self.add(Statement(just.signs[-1], conclusion), just)
 
-    def splice(self, inf: Inference, upto: Optional[int] = None,
-               mapping: Optional[dict[int, int]] = None) -> int:
+    def splice(self, inf: Inference, upto: Optional[int] = None) -> int:
         """Add the support of step `upto` of `inf`, its last step by default,
         re-pointed at the new indices; return the new index of `upto`.
-        Entries already in `mapping` stand for steps of `inf` that the
-        builder holds; they are not copied, and `mapping` ends up holding
-        every old-to-new index."""
-        mapping = {} if mapping is None else mapping
+        A statement the builder already holds is not copied again."""
+        mapping: dict[int, int] = {}
         last = len(inf.steps) if upto is None else upto
         for old in sorted(inf.support(last)):
-            if old not in mapping:
-                step = inf.steps[old - 1]
-                mapping[old] = self.add(step.statement, step.justification.remap(mapping))
+            step = inf.steps[old - 1]
+            mapping[old] = self.add(step.statement, step.justification.remap(mapping))
         return mapping[last]
 
     def conclude(self, index: int) -> Inference:

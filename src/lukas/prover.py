@@ -4,17 +4,17 @@ Hilbert-style search for derivability from hypotheses with substitution.
 The decision engine is a contraction-free root-first sequent search (the
 terminating LJT-style calculus).  A successful run yields a typed lambda
 term; lambdas are then eliminated by bracket abstraction over the Hilbert
-basis, and the result is elaborated through a `ProofBuilder` straight into
-an all-positive kernel `Inference` of axioms, MP and substitution steps.
-Each axiom constant keeps the substitution it was instantiated by, and each
-term its type, so elaboration writes every step down without deriving or
-matching it again; the caller's `check_inference` is the one re-derivation.
-A failed run is backed by an independent semantic countermodel
-search over small rooted posets, so the two outcomes never rest on the same
-code path.
+basis, and the result is elaborated straight into the caller's
+`ProofBuilder` as axiom, MP and substitution steps.  Each axiom constant
+keeps the substitution it was instantiated by, and each term its type, so
+elaboration writes every step down without deriving or matching it again;
+the caller's `check_inference` is the one re-derivation.  A failed run is
+backed by an independent semantic countermodel search over small rooted
+posets, so the two outcomes never rest on the same code path.
 
-`derive` is the one way into the search, and every sequent search runs on
-the one fuel `_FUEL`; `derive_lemma` filters speculative lemmas first.
+`derive_into(builder, a)` is the one way into the search, and every search
+runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder, and
+`derive_lemma` filters speculative lemmas first.
 """
 
 from __future__ import annotations
@@ -351,15 +351,6 @@ def _load_term(builder: ProofBuilder, term: Term) -> int:
     raise AssertionError(f"open or unelaborated term: {term!r}")
 
 
-def _term_to_derivation(term: Term) -> Inference:
-    """The all-positive, hypothesis-free inference a closed proof term
-    elaborates to: axioms, substitution and modus ponens only."""
-    closed = _eliminate_lambdas(term)
-    assert not closed.free, "proof term has free variables"
-    builder = ProofBuilder()
-    return builder.conclude(_load_term(builder, closed))
-
-
 # --- public API --------------------------------------------------------------
 
 
@@ -377,20 +368,33 @@ _COUNTERMODEL_BUDGET = Budget(max_worlds=5, max_vars=4)
 _INT = system(Mode.INT)
 
 
+def derive_into(builder: ProofBuilder, a: Formula) -> Optional[int]:
+    """Elaborate the search's proof of +a into `builder`, whose steps keep
+    their indices, and return the index of +a; None, adding nothing, when
+    the search refutes `a`."""
+    check_mode(a, Mode.INT)
+    term = _Search(_FUEL).prove([], a)
+    if term is None:
+        return None
+    closed = _eliminate_lambdas(term)
+    assert not closed.free, "proof term has free variables"
+    return _load_term(builder, closed)
+
+
 def derive(a: Formula) -> Optional[Inference]:
     """The all-positive, hypothesis-free inference of +a that the sequent
     search finds, or None when the search refutes `a`."""
-    check_mode(a, Mode.INT)
-    term = _Search(_FUEL).prove([], a)
-    return None if term is None else _term_to_derivation(term)
+    builder = ProofBuilder()
+    index = derive_into(builder, a)
+    return None if index is None else builder.conclude(index)
 
 
-def derive_lemma(a: Formula) -> Optional[Inference]:
-    """`derive` for a speculative lemma: None without a search when `a` is
-    boxed or fails on one of the small filter frames."""
+def derive_lemma(builder: ProofBuilder, a: Formula) -> Optional[int]:
+    """`derive_into` for a speculative lemma: None without a search when
+    `a` is boxed or fails on one of the small filter frames."""
     if has_box(a) or not _plausibly_valid(a):
         return None
-    return derive(a)
+    return derive_into(builder, a)
 
 
 def countermodel_search(a: Formula) -> Optional[KripkeModel]:
@@ -484,17 +488,13 @@ def derive_from_hypotheses(hypotheses: Sequence[Formula],
             attempts += 1
             if attempts > _MAX_ATTEMPTS:
                 return None
-            if instance == goal:
-                builder = ProofBuilder(premises)
-                source = builder.add(premise, Hypothesis())
-                return builder.conclude(builder.apply(Sb.of(source, subst)))
-            lemma = derive_lemma(Implies(instance, goal))
-            if lemma is None:
-                continue
             builder = ProofBuilder(premises)
             source = builder.add(premise, Hypothesis())
-            inst_idx = builder.apply(Sb.of(source, subst))
-            lemma_idx = builder.splice(lemma)
-            return builder.conclude(builder.apply(MP(lemma_idx, inst_idx)))
+            inst_idx = builder.add(asserts(instance), Sb.of(source, subst))
+            if instance == goal:
+                return builder.conclude(inst_idx)
+            lemma_idx = derive_lemma(builder, Implies(instance, goal))
+            if lemma_idx is not None:
+                return builder.conclude(builder.apply(MP(lemma_idx, inst_idx)))
 
     return None

@@ -25,7 +25,6 @@ from .formulas import (
 )
 from .kernel import (
     Axiom,
-    DeductiveSystem,
     Hypothesis,
     Inference,
     MP,
@@ -115,13 +114,12 @@ def require_all_positive(inf: Inference) -> None:
         raise TransformError("transformer requires positive hypotheses")
 
 
-def symmetry_transform(ds: DeductiveSystem,
-                       inf: Inference,
+def symmetry_transform(inf: Inference,
                        derivable: Callable[[Formula], bool],
                        ) -> tuple[int, Inference]:
-    """Given an all-positive inference of +B from +A1..+An that checks in
-    `ds`, where the oracle says B is underivable, produce (i, ref) with ref
-    an inference of -Ai from the single hypothesis -B; ref is not checked.
+    """Given an all-positive inference of +B from +A1..+An that checks,
+    where the oracle says B is underivable, produce (i, ref) with ref an
+    inference of -Ai from the single hypothesis -B; ref is not checked.
 
     `derivable` must soundly decide derivability in the system (a tabular
     semantic oracle at desk scale).
@@ -170,22 +168,20 @@ def symmetry_transform(ds: DeductiveSystem,
                 major_index = splice_derivable(just.major, major)
                 rejected = builder.apply(MT(major_index, rejected_index))
                 return recurse(just.minor, rejected)
-            return _transfer(target_index, rejected_index, just, major, minor, formula)
+            return _transfer(rejected_index, just, major, minor, formula)
         raise TransformError(f"unsupported justification on a positive step: {just!r}")
 
-    def _transfer(target_index: int, rejected_index: int, just: MP,
+    def _transfer(rejected_index: int, just: MP,
                   major: Formula, minor: Formula, formula: Formula) -> int:
         """The underivable-major branch: derive -major from -conclusion and
         recurse on the major's own derivation."""
-        del target_index
 
         def reject_via_lemma(lemma_target: Formula, subst: dict[str, Formula],
                              source_index: int) -> Optional[int]:
             instance = apply_substitution(subst, lemma_target)
-            lemma = derive_lemma(Implies(instance, formula))
-            if lemma is None:
+            lemma_index = derive_lemma(builder, Implies(instance, formula))
+            if lemma_index is None:
                 return None
-            lemma_index = builder.splice(lemma)
             rejected_instance = builder.apply(MT(lemma_index, rejected_index))
             if instance == lemma_target:
                 rejected = rejected_instance

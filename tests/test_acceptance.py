@@ -120,7 +120,7 @@ def test_criterion_3_symmetry_intuitionistic():
             done += 1
             total += 1
             t0 = time.monotonic()
-            index, ref = symmetry_transform(ds, inst, oracle)
+            index, ref = symmetry_transform(inst, oracle)
             case = time.monotonic() - t0
             worst = max(worst, case)
             report = check_inference(ds, ref)
@@ -152,7 +152,7 @@ def test_criterion_3_symmetry_k4():
         done += 1
         if any(isinstance(s.justification, NS) for s in inst.steps):
             ns_cases += 1
-        index, ref = symmetry_transform(ds, inst, oracle)
+        index, ref = symmetry_transform(inst, oracle)
         report = check_inference(ds, ref)
         assert report.ok, str(report)
         assert report.conclusion == rejects(inst.hypotheses[index - 1].formula)

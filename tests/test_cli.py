@@ -196,7 +196,7 @@ def test_transform_symmetry_checks_its_input(workdir, capsys):
 def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
     import lukas.cli
     unsound = Inference((rejects(Var("q")),), (Step(rejects(Var("p")), Hypothesis()),))
-    monkeypatch.setattr(lukas.cli, "symmetry_transform", lambda ds, inf, oracle: (1, unsound))
+    monkeypatch.setattr(lukas.cli, "symmetry_transform", lambda inf, oracle: (1, unsound))
     code = main(["transform", "symmetry", str(workdir / "ok.proof"),
                  "--frames", str(workdir / "chain2.frame")])
     captured = capsys.readouterr()
@@ -210,8 +210,8 @@ def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
     import lukas.complete_sets
     transform = lukas.complete_sets.symmetry_transform
 
-    def broken(ds, inf, oracle):
-        index, ref = transform(ds, inf, oracle)
+    def broken(inf, oracle):
+        index, ref = transform(inf, oracle)
         return index, Inference(ref.hypotheses,
                                 ref.steps[:-1] + (Step(ref.conclusion, Axiom()),))
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from lukas.complete_sets import (
     render_manifest,
 )
 from lukas.formulas import Mode, ParseError, parse_formula, render, variables
-from lukas.kernel import check_inference, rejects, system
+from lukas.kernel import AntiAxiom, Inference, ProofBuilder, Step, check_inference, rejects, system
 from lukas.semantics import (
     Budget,
     chain_frame,
@@ -159,6 +160,59 @@ def test_standardness_sample(cpc):
             assert check_inference(ds, inf).ok
             with pytest.raises(RefutationPreconditionError):
                 build_positive_cpc(f)
+
+
+CPC_MANIFEST = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "cpc.ds"
+
+
+def _discharge_by_splice(refutation, anti):
+    """Reference for `_discharge`: the refutation copied step by step after
+    an anti-axiom step that stands for its step 1."""
+    builder = ProofBuilder()
+    mapping = {1: builder.add(rejects(anti), AntiAxiom())}
+    last = len(refutation.steps)
+    for old in sorted(refutation.support(last)):
+        if old not in mapping:
+            step = refutation.steps[old - 1]
+            mapping[old] = builder.add(step.statement, step.justification.remap(mapping))
+    return builder.conclude(mapping[last])
+
+
+def test_discharge_agrees_with_the_splice_it_replaced(monkeypatch):
+    import lukas.complete_sets
+    ds, oracle, family = manifest_context(parse_manifest(CPC_MANIFEST.read_text()))
+    discharge = lukas.complete_sets._discharge
+    seen = []
+
+    def recorded(ds, refutation, anti):
+        result = discharge(ds, refutation, anti)
+        seen.append(result == _discharge_by_splice(refutation, anti))
+        return result
+
+    monkeypatch.setattr(lukas.complete_sets, "_discharge", recorded)
+    rng = random.Random(12)
+    while len(seen) < 40:
+        f = random_formula(rng, ("p", "q"), depth=3)
+        if not oracle(f):
+            build_refutation(ds, f, oracle, family)
+    assert all(seen)
+
+
+def test_refute_exits_2_when_step_1_is_not_the_hypothesis(capsys, monkeypatch):
+    import lukas.complete_sets
+    from lukas.cli import main
+    transform = lukas.complete_sets.symmetry_transform
+
+    def misplaced(inf, oracle):
+        index, ref = transform(inf, oracle)
+        first = Step(ref.steps[0].statement, AntiAxiom())
+        return index, Inference(ref.hypotheses, (first,) + ref.steps[1:])
+
+    monkeypatch.setattr(lukas.complete_sets, "symmetry_transform", misplaced)
+    code = main(["refute", "--system", str(CPC_MANIFEST), "p | ~q"])
+    captured = capsys.readouterr()
+    assert code == 2 and "REFUTED" not in captured.out
+    assert captured.err.startswith("error: discharged refutation fails checking: step 1 ")
 
 
 def test_refutation_k4_with_supplied_family():

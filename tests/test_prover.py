@@ -3,11 +3,12 @@ from hypothesis import given, settings
 
 from conftest import formula_strategy
 from lukas.formulas import Mode, match_instance, parse_formula, render
-from lukas.kernel import Sb, asserts, check_inference, rejects, system
+from lukas.kernel import Hypothesis, ProofBuilder, Sb, asserts, check_inference, rejects, system
 from lukas.prover import (
     countermodel_search,
     derive,
     derive_from_hypotheses,
+    derive_into,
     prove_ipc,
 )
 from lukas.semantics import enumerate_rooted_posets, frame_valid, model_validates, Budget
@@ -178,3 +179,31 @@ def test_elaborated_substitutions_are_the_matched_ones_on_random_formulas(f):
     inf = derive(f)
     if inf is not None:
         _sb_steps_carry_their_match(inf)
+
+
+def _builder_with_a_hypothesis_and_an_instance():
+    """Steps 1 `+ p -> p ; hyp` and 2 `+ q -> q ; sb 1 { p := q }`."""
+    hyp = asserts(parse_formula("p -> p"))
+    builder = ProofBuilder((hyp,))
+    source = builder.add(hyp, Hypothesis())
+    builder.apply(Sb.of(source, {"p": parse_formula("q")}))
+    return builder
+
+
+def test_derive_into_adds_nothing_when_the_search_refutes():
+    builder = _builder_with_a_hypothesis_and_an_instance()
+    steps, index = list(builder.steps), dict(builder.index)
+    assert derive_into(builder, parse_formula("p | ~p")) is None
+    assert builder.steps == steps and builder.index == index
+
+
+def test_derive_into_keeps_the_steps_already_built():
+    for text in THEOREMS:
+        f = parse_formula(text)
+        builder = _builder_with_a_hypothesis_and_an_instance()
+        before = list(builder.steps)
+        index = derive_into(builder, f)
+        assert builder.steps[:2] == before, text
+        assert builder.steps[index - 1].statement == asserts(f), text
+        report = check_inference(INT, builder.conclude(index))
+        assert report.ok and report.conclusion == asserts(f), text

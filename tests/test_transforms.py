@@ -131,7 +131,7 @@ def test_symmetry_basis_case():
     oracle = tabular_oracle([point_frame()], WIDE)
     b = parse_formula("p & q")
     inf = Inference((asserts(b),), (Step(asserts(b), Hypothesis()),))
-    index, ref = symmetry_transform(INT, inf, oracle)
+    index, ref = symmetry_transform(inf, oracle)
     assert index == 1
     assert ref.hypotheses == (rejects(b),)
     assert ref.conclusion == rejects(b)
@@ -145,7 +145,7 @@ def test_symmetry_smallest_index_on_ties():
         (asserts(Var("q")), asserts(b), asserts(b)),
         (Step(asserts(b), Hypothesis()),),
     )
-    index, _ = symmetry_transform(INT, inf, oracle)
+    index, _ = symmetry_transform(inf, oracle)
     assert index == 2
 
 
@@ -153,7 +153,7 @@ def test_symmetry_rejects_derivable_conclusion():
     oracle = tabular_oracle([point_frame()], WIDE)
     inf = Inference((), (Step(asserts(parse_formula("p -> (q -> p)")), Axiom()),))
     with pytest.raises(OracleInconsistencyError):
-        symmetry_transform(INT, inf, oracle)
+        symmetry_transform(inf, oracle)
 
 
 def test_symmetry_substitution_pipeline_example():
@@ -162,7 +162,7 @@ def test_symmetry_substitution_pipeline_example():
     hyp = parse_formula("~~p -> p")
     goal = parse_formula("q | ~q")
     positive = derive_from_hypotheses([hyp], goal)
-    index, ref = symmetry_transform(INT, positive, oracle)
+    index, ref = symmetry_transform(positive, oracle)
     assert index == 1
     report = check_inference(INT, ref)
     assert report.ok
@@ -182,7 +182,7 @@ def test_symmetry_modus_ponens_both_subcases():
             Step(asserts(q), MP(1, 2)),
         ),
     )
-    index, ref = symmetry_transform(INT, inf, oracle)
+    index, ref = symmetry_transform(inf, oracle)
     assert check_inference(INT, ref).ok
     assert ref.conclusion == rejects(inf.hypotheses[index - 1].formula)
 
@@ -196,7 +196,7 @@ def test_symmetry_modus_ponens_both_subcases():
             Step(asserts(parse_formula("q -> p")), MP(1, 2)),
         ),
     )
-    index2, ref2 = symmetry_transform(INT, inf2, oracle)
+    index2, ref2 = symmetry_transform(inf2, oracle)
     assert index2 == 1
     assert check_inference(INT, ref2).ok
     assert ref2.conclusion == rejects(p)
@@ -211,7 +211,7 @@ def test_symmetry_size_bound():
         if inst is None:
             continue
         done += 1
-        index, ref = symmetry_transform(ds, inst, oracle)
+        index, ref = symmetry_transform(inst, oracle)
         del index
         # linear in the input plus whatever positive derivations were spliced
         replayed = sum(1 for s in ref.steps
@@ -232,7 +232,7 @@ def test_symmetry_output_respects_adequate_frames():
         if inst is None:
             continue
         done += 1
-        _, ref = symmetry_transform(ds, inst, oracle)
+        _, ref = symmetry_transform(inst, oracle)
         assert check_inference(ds, ref).ok
         # structure-level validity: a frame adequate for the system that
         # validates the hypotheses validates every step
@@ -245,4 +245,4 @@ def test_symmetry_requires_all_positive_input():
     inf = Inference((rejects(Var("p")),), (Step(rejects(Var("p")), Hypothesis()),))
     oracle = tabular_oracle([point_frame()], WIDE)
     with pytest.raises(TransformError):
-        symmetry_transform(INT, inf, oracle)
+        symmetry_transform(inf, oracle)
