@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .complete_sets import (
+    JANKOV_MAX_WORLDS,
     RefutationPreconditionError,
     SearchExhaustedError,
     build_positive_cpc,
@@ -113,7 +114,7 @@ def cmd_valid(args, out: _Output) -> int:
 
 
 def cmd_jankov(args, out: _Output) -> int:
-    frame = parse_frame_file(_read(args.frame))
+    frame = parse_frame_file(_read(args.frame), JANKOV_MAX_WORLDS)
     out.verdict(render(jankov_formula(frame)))
     return 0
 
@@ -166,7 +167,7 @@ def cmd_transform(args, out: _Output) -> int:
     if args.system:
         ds, oracle, _family = manifest_context(parse_manifest(_read(args.system)))
     elif args.frames:
-        frames = [parse_frame_file(_read(p)) for p in args.frames]
+        frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
         oracle = tabular_oracle(frames, Budget(max_worlds=args.budget, max_vars=8))
         ds = system(mode)
     else:

@@ -20,6 +20,7 @@ from .formulas import (
     Implies,
     Mode,
     ParseError,
+    TOP,
     Var,
     apply_substitution,
     conj,
@@ -46,14 +47,17 @@ from .kernel import (
     rejects,
     system,
 )
-from .prover import derive_from_hypotheses, derive_into
+from .prover import derive_into
 from .semantics import (
     MAX_POSET_WORLDS,
     Budget,
     Frame,
+    KripkeModel,
     ResourceBoundError,
     _bits,
     enumerate_rooted_posets,
+    falsifying_model,
+    forces,
     frame_from_pairs,
     point_frame,
     root_of,
@@ -77,8 +81,26 @@ class TemplateUnavailableError(RuntimeError):
 # --- Jankov formulas ---------------------------------------------------------
 
 
+#: The most worlds a frame may have for `jankov_formula`.
+JANKOV_MAX_WORLDS = 6
+
+
 def jankov_variables(frame: Frame) -> tuple[Var, ...]:
     return tuple(Var(f"x{i}") for i in range(frame.n))
+
+
+def jankov_substitution(model: KripkeModel) -> dict[str, Formula]:
+    """Jankov's substitution for a model on a rooted poset G: each variable
+    p goes to the conjunction of the x_i over the worlds i outside V(p), or
+    to TOP when V(p) is every world.  It holds under the Jankov valuation
+    exactly where p holds in `model`, so if `a` fails at G's root then
+    sigma(a) -> J(G) is an intuitionistic theorem (Jankov's lemma)."""
+    xs = jankov_variables(model.frame)
+    sigma = {}
+    for name, mask in model.valuation:
+        outside = [x for i, x in enumerate(xs) if not mask >> i & 1]
+        sigma[name] = conj(outside) if outside else TOP
+    return sigma
 
 
 def jankov_formula(frame: Frame) -> Formula:
@@ -93,8 +115,9 @@ def jankov_formula(frame: Frame) -> Formula:
     root = root_of(frame)
     if root is None:
         raise ValueError("Jankov formulas need a rooted poset")
-    if frame.n > 6:
-        raise ResourceBoundError("Jankov construction is budgeted to 6 worlds")
+    if frame.n > JANKOV_MAX_WORLDS:
+        raise ResourceBoundError(
+            f"Jankov construction is budgeted to {JANKOV_MAX_WORLDS} worlds")
 
     xs = jankov_variables(frame)
     n = frame.n
@@ -182,26 +205,45 @@ def build_refutation(ds: DeductiveSystem,
                      family: Sequence[FamilyEntry]) -> Inference:
     """Produce a checked inference of -a with no hypotheses.
 
-    Searches the family for a rejected formula C with a positive inference
-    of +C from +a, runs the refutation transformer on it to get -C |- -a,
-    and discharges -C by the anti-axiom step.
+    Takes the first family entry whose formula C = J(G) the system rejects
+    and whose frame G refutes `a` at its root.  With sigma the falsifying
+    model's `jankov_substitution`, sigma(a) -> C is an intuitionistic
+    theorem (Jankov's lemma), so hyp +a, sb sigma, the lemma and mp make a
+    positive inference of +C from +a.  The refutation transformer turns it
+    into -C |- -a, and -C is discharged by the anti-axiom step.
+
+    Each entry must pair a frame with its Jankov formula, as `jankov_family`
+    does.  No trial search runs: `SearchExhaustedError` means exactly that
+    no frame of the family with a rejected formula refutes `a`.
     """
     if oracle(a):
         raise RefutationPreconditionError(
             f"{render(a)} is derivable per the oracle; nothing to refute")
     for entry in family:
-        if oracle(entry.formula):
+        if oracle(entry.formula) or not ds.is_anti_axiom(entry.formula):
             continue
-        if not ds.is_anti_axiom(entry.formula):
+        # the first rejected frame that refutes `a` anywhere refutes it at
+        # its root: a generated subframe is smaller, so it comes earlier in
+        # the family, and its Jankov formula is rejected too
+        model = falsifying_model(entry.frame, a, _ORACLE_BUDGET)
+        if model is None or forces(model, root_of(entry.frame), a):
             continue
-        positive = derive_from_hypotheses([a], entry.formula)
-        if positive is None:
-            continue
+        sigma = jankov_substitution(model)
+        builder = ProofBuilder((asserts(a),))
+        instance = builder.apply(Sb.of(builder.add(asserts(a), Hypothesis()), sigma))
+        lemma = Implies(apply_substitution(sigma, a), entry.formula)
+        lemma_index = derive_into(builder, lemma)
+        if lemma_index is None:
+            raise ValueError(f"Jankov lemma {render(lemma)} did not prove; "
+                             f"prover defect, or not a Jankov formula")
+        positive = builder.conclude(builder.apply(MP(lemma_index, instance)))
         index, refutation = symmetry_transform(positive, oracle)
         assert index == 1
         return _discharge(ds, refutation, entry.formula)
+    bound = max((entry.frame.n for entry in family), default=0)
     raise SearchExhaustedError(
-        f"no family witness found for {render(a)} within bounds")
+        f"no frame of at most {bound} worlds with a rejected Jankov formula "
+        f"refutes {render(a)}")
 
 
 def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inference:

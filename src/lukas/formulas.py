@@ -248,6 +248,8 @@ BOT: Bottom = object.__new__(Bottom)
 _init(BOT, "_hash", hash((_BOT,)))
 _init(BOT, "boxed", False)
 _init(BOT, "_text", "bot")
+#: Verum, spelled as the implication it abbreviates.
+TOP = Implies(BOT, BOT)
 
 #: A substitution is a finite map from variable names to formulas.
 Substitution = Mapping[str, Formula]

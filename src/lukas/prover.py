@@ -1,5 +1,5 @@
-"""Decision procedure for intuitionistic propositional validity plus bounded
-Hilbert-style search for derivability from hypotheses with substitution.
+"""Decision procedure for intuitionistic propositional validity, with its
+proofs elaborated into Hilbert-style steps.
 
 The decision engine is a contraction-free root-first sequent search (the
 terminating LJT-style calculus).  A successful run yields a typed lambda
@@ -19,13 +19,11 @@ runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder, and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .formulas import (
-    BOT,
     And,
     Bottom,
     Formula,
@@ -37,14 +35,12 @@ from .formulas import (
     check_mode,
     has_box,
     render,
-    subformulas,
     variables,
 )
 from .kernel import (
     IPC_AXIOMS,
     MP,
     Axiom,
-    Hypothesis,
     Inference,
     ProofBuilder,
     Sb,
@@ -428,13 +424,7 @@ def prove_ipc(a: Formula) -> ProofResult:
     return ProofResult(countermodel=model)
 
 
-# --- bounded search from hypotheses ------------------------------------------
-
-
-#: Hypothesis instances tried before giving up.
-_MAX_ATTEMPTS = 4000
-
-_TOP = Implies(BOT, BOT)
+# --- lemma filter ------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
@@ -448,53 +438,3 @@ def _plausibly_valid(a: Formula) -> bool:
     """Cheap necessary conditions before running the decision procedure."""
     budget = Budget(max_worlds=4, max_vars=max(3, len(variables(a))))
     return all(frame_valid(f, a, budget) for f in _filter_frames())
-
-
-def _candidate_pool(goal: Formula) -> list[Formula]:
-    pool = {BOT, _TOP} | set(subformulas(goal))
-    return sorted(pool, key=lambda f: (len(render(f)), render(f)))
-
-
-def _instances(h: Formula, goal: Formula) -> list[dict[str, Formula]]:
-    names = sorted(variables(h))
-    return [dict(zip(names, choice))
-            for choice in itertools.product(_candidate_pool(goal), repeat=len(names))]
-
-
-def derive_from_hypotheses(hypotheses: Sequence[Formula],
-                           goal: Formula) -> Optional[Inference]:
-    """Bounded search for an all-positive inference of +goal from
-    +hypotheses using the basis, MP, and substitution (of hypotheses and
-    axioms).
-
-    Sound always; complete only within its bounds, so None never certifies
-    underivability.
-    """
-    check_mode(goal, Mode.INT)
-    for h in hypotheses:
-        check_mode(h, Mode.INT)
-
-    # no hypotheses needed at all
-    derived = derive(goal)
-    if derived is not None:
-        return derived
-
-    premises = tuple(asserts(h) for h in hypotheses)
-    attempts = 0
-    # one substitution instance of one hypothesis
-    for premise in premises:
-        for subst in _instances(premise.formula, goal):
-            instance = apply_substitution(subst, premise.formula)
-            attempts += 1
-            if attempts > _MAX_ATTEMPTS:
-                return None
-            builder = ProofBuilder(premises)
-            source = builder.add(premise, Hypothesis())
-            inst_idx = builder.add(asserts(instance), Sb.of(source, subst))
-            if instance == goal:
-                return builder.conclude(inst_idx)
-            lemma_idx = derive_lemma(builder, Implies(instance, goal))
-            if lemma_idx is not None:
-                return builder.conclude(builder.apply(MP(lemma_idx, inst_idx)))
-
-    return None

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .formulas import (
     BOT,
+    TOP,
     Formula,
     Implies,
     Var,
@@ -84,7 +85,6 @@ def extract_positive(inf: Inference) -> Inference:
 
 # --- the refutation transformer ----------------------------------------------
 
-_TOP = Implies(BOT, BOT)
 #: The rule that rejects the premise of a one-premise positive rule.
 _REVERSE = {Sb: RS, NS: RN}
 _POINT = point_frame()
@@ -200,7 +200,7 @@ def symmetry_transform(inf: Inference,
             if len(names) <= 10:
                 for values in itertools.product((0, 1), repeat=len(names)):
                     point = KripkeModel(_POINT, tuple(zip(names, values)))
-                    subst = {n: (_TOP if v else BOT) for n, v in zip(names, values)}
+                    subst = {n: (TOP if v else BOT) for n, v in zip(names, values)}
                     if not truth_mask(point, minor):
                         if derivable(minor):
                             raise OracleInconsistencyError(

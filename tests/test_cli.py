@@ -400,6 +400,20 @@ def test_world_counts_over_the_budget_stop_on_their_line(workdir, capsys, name, 
         "error": "frame has 20000 worlds, budget allows 8", "exit": 3, "line": 2}
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["jankov", "--frame", "{path}"], 6),
+    (["transform", "symmetry", "{dir}/ok.proof", "--frames", "{path}"], 8),
+    (["--budget", "3", "transform", "symmetry", "{dir}/ok.proof", "--frames", "{path}"], 3),
+], ids=["jankov", "transform", "transform-budget"])
+def test_frame_files_over_their_cap_stop_on_the_worlds_line(workdir, capsys, argv, cap):
+    lines = ["mode int", "worlds 1000"] + [f"rel {i} {i + 1}" for i in range(999)]
+    path = workdir / "chain.frame"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([a.format(path=path, dir=workdir) for a in argv]) == 3
+    assert capsys.readouterr().err == (
+        f"resource bound: frame has 1000 worlds, budget allows {cap} (at line 2)\n")
+
+
 def test_world_budget_leaves_models_alone(workdir, capsys):
     lines = ["mode int", "worlds 9"] + [f"rel {i} {i + 1}" for i in range(8)]
     (workdir / "big.kripke").write_text("\n".join(lines) + "\nval p 8\n")

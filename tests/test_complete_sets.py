@@ -7,26 +7,40 @@ from generators import random_formula, tautology
 from lukas.complete_sets import (
     FamilyEntry,
     RefutationPreconditionError,
+    SearchExhaustedError,
     build_positive_cpc,
     build_refutation,
     build_system,
     jankov_family,
     jankov_formula,
+    jankov_substitution,
     manifest_context,
     parse_manifest,
     render_manifest,
 )
-from lukas.formulas import Mode, ParseError, parse_formula, render, variables
+from lukas.formulas import (
+    Implies,
+    Mode,
+    ParseError,
+    apply_substitution,
+    parse_formula,
+    render,
+    variables,
+)
 from lukas.kernel import AntiAxiom, Inference, ProofBuilder, Step, check_inference, rejects, system
 from lukas.semantics import (
     Budget,
+    KripkeModel,
     chain_frame,
     check_adequacy,
     enumerate_rooted_posets,
+    falsifying_model,
+    forces,
     frame_from_pairs,
     frame_valid,
     p_morphic_reduct_exists,
     point_frame,
+    root_of,
     tabular_oracle,
 )
 
@@ -111,6 +125,58 @@ def test_refutation_over_intuitionistic_oracle():
     assert report.ok
     assert report.conclusion == rejects(parse_formula("p | ~p"))
     assert not inf.hypotheses
+
+
+def test_jankov_lemma_holds_without_the_search():
+    """Whenever a model on a rooted poset G refutes `a` at G's root,
+    sigma(a) -> J(G) holds on every rooted poset of up to 4 worlds, where
+    sigma is the model's Jankov substitution."""
+    rng = random.Random(13)
+    frames = enumerate_rooted_posets(4)
+    checked = 0
+    for g in enumerate_rooted_posets(3):
+        jankov = jankov_formula(g)
+        for _ in range(40):
+            a = random_formula(rng, ("p", "q"), depth=3)
+            model = KripkeModel.of(g, {n: rng.randrange(1 << g.n) for n in variables(a)})
+            if forces(model, root_of(g), a):
+                continue
+            lemma = Implies(apply_substitution(jankov_substitution(model), a), jankov)
+            assert all(frame_valid(h, lemma, WIDE) for h in frames), render(lemma)
+            checked += 1
+    assert checked >= 40
+
+
+DIAMOND = frame_from_pairs(Mode.INT, 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def test_refutation_fails_exactly_when_no_rejected_frame_refutes():
+    """Against the diamond's system at bound 3, `build_refutation` finds no
+    refutation exactly when no frame of the family with a rejected Jankov
+    formula refutes `a`; two of these twenty tautologies need the diamond
+    itself."""
+    oracle = tabular_oracle([DIAMOND], WIDE)
+    family = jankov_family(3)
+    ds = build_system(oracle, family)
+    rng = random.Random(11)
+    found = []
+    while len(found) < 20:
+        f = random_formula(rng, ("p", "q", "r"), depth=4)
+        if not tautology(f) or oracle(f):
+            continue
+        witnessed = any(ds.is_anti_axiom(e.formula) and falsifying_model(e.frame, f, WIDE)
+                        for e in family)
+        try:
+            inf = build_refutation(ds, f, oracle, family)
+        except SearchExhaustedError as exc:
+            assert not witnessed, render(f)
+            assert "at most 3 worlds" in str(exc)
+            found.append(False)
+            continue
+        assert witnessed, render(f)
+        assert check_inference(ds, inf).conclusion == rejects(f)
+        found.append(True)
+    assert found.count(False) == 2
 
 
 def test_refutation_corpus_over_cpc(cpc):

@@ -7,7 +7,6 @@ from lukas.kernel import Hypothesis, ProofBuilder, Sb, asserts, check_inference,
 from lukas.prover import (
     countermodel_search,
     derive,
-    derive_from_hypotheses,
     derive_into,
     prove_ipc,
 )
@@ -106,43 +105,6 @@ def test_fmp_agreement_on_small_corpus():
     for f in corpus:
         if derive(f) is not None:
             assert all(frame_valid(g, f, wide) for g in frames), render(f)
-
-
-def test_derive_from_hypotheses_direct():
-    p, goal = parse_formula("p"), parse_formula("q -> p")
-    derivation = derive_from_hypotheses([p], goal)
-    assert derivation is not None
-    assert derivation.conclusion == asserts(goal)
-    assert _inference_from(derivation, [p])
-
-
-def test_derive_from_hypotheses_needs_substitution():
-    hyp = parse_formula("~~p -> p")
-    goal = parse_formula("q | ~q")
-    derivation = derive_from_hypotheses([hyp], goal)
-    assert derivation is not None
-    assert derivation.conclusion == asserts(goal)
-    assert _inference_from(derivation, [hyp])
-    # the substituted stability instance appears along the way
-    instance = parse_formula("~~(q | ~q) -> (q | ~q)")
-    assert any(step.statement == asserts(instance) for step in derivation.steps)
-
-
-def test_derive_from_hypotheses_tries_the_goal_first():
-    p, goal = parse_formula("p"), parse_formula("q -> q")
-    assert derive_from_hypotheses([p], goal) == prove_ipc(goal).derivation
-
-
-def test_derive_from_hypotheses_gives_up_on_underivable():
-    goal = parse_formula("~~p -> p")
-    assert derive_from_hypotheses([], goal) is None
-
-
-def _inference_from(inf, hypotheses):
-    report = check_inference(INT, inf)
-    assert report.ok
-    assert set(h.formula for h in inf.hypotheses) == set(hypotheses)
-    return True
 
 
 def test_countermodel_search_is_sound():

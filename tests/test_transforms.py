@@ -5,13 +5,15 @@ import pytest
 from conftest import frame_validates
 from generators import random_mixed_inference, random_refutable_instance
 from lukas.complete_sets import build_system, jankov_family
-from lukas.formulas import Mode, Var, parse_formula
+from lukas.formulas import Implies, Mode, Var, apply_substitution, parse_formula
 from lukas.kernel import (
     AntiAxiom,
     Axiom,
     Hypothesis,
     Inference,
     MP,
+    ProofBuilder,
+    Sb,
     Sign,
     Step,
     asserts,
@@ -19,7 +21,7 @@ from lukas.kernel import (
     rejects,
     system,
 )
-from lukas.prover import derive_from_hypotheses
+from lukas.prover import derive_into
 from lukas.semantics import (
     Budget,
     chain_frame,
@@ -101,14 +103,24 @@ def test_extract_positive_fuzz_and_idempotence():
         assert extract_positive(extracted) == extracted
 
 
+def _from_hypothesis(hyp, subst, goal):
+    """+goal from +hyp: the hypothesis, its instance under `subst`, the
+    lemma instance -> goal by the sequent search, and modus ponens."""
+    builder = ProofBuilder((asserts(hyp),))
+    instance = builder.apply(Sb.of(builder.add(asserts(hyp), Hypothesis()), subst))
+    lemma = derive_into(builder, Implies(apply_substitution(subst, hyp), goal))
+    assert lemma is not None
+    return builder.conclude(builder.apply(MP(lemma, instance)))
+
+
 def test_derived_inference_simple_and_substituted():
-    inf = derive_from_hypotheses([Var("p")], parse_formula("q -> p"))
+    inf = _from_hypothesis(Var("p"), {}, parse_formula("q -> p"))
     report = check_inference(INT, inf)
     assert report.ok
     assert str(report.conclusion) == "+ q -> p"
 
     hyp = parse_formula("~~p -> p")
-    inf = derive_from_hypotheses([hyp], parse_formula("q | ~q"))
+    inf = _from_hypothesis(hyp, {"p": parse_formula("q | ~q")}, parse_formula("q | ~q"))
     assert check_inference(INT, inf).ok
     assert all(s.statement.sign is Sign.ASSERT for s in inf.steps)
 
@@ -161,7 +173,7 @@ def test_symmetry_substitution_pipeline_example():
     oracle = tabular_oracle(frames, WIDE)
     hyp = parse_formula("~~p -> p")
     goal = parse_formula("q | ~q")
-    positive = derive_from_hypotheses([hyp], goal)
+    positive = _from_hypothesis(hyp, {"p": goal}, goal)
     index, ref = symmetry_transform(positive, oracle)
     assert index == 1
     report = check_inference(INT, ref)
