@@ -440,7 +440,7 @@ GOLDEN_DIGESTS = [
     (("refute", "--system", "{system}", "(p -> q) -> p"),
      "5c722e226dfdaaea1ab0834ae793c55a4872878b1d85dae02058b16b017083c3"),
     (("refute", "--system", "{system}", "p | ~q"),
-     "11614f09bf57d9ea397c790a71cb0fe98676e9d440129752bb1c228684db6349"),
+     "92fadf2f5cb7e84e93c62b2ea3e1ded602a3c5810eadec2d12f62641092182cf"),
     (("ipc", "(p -> q) -> (~q -> ~p)"),
      "69e58a64cfbee1e5e46533f0548113bd73107e09fbb73bb155c97b92ceb7c4ea"),
     (("ipc", "p & (q | r) -> (p & q) | (p & r)"),
