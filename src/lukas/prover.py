@@ -10,7 +10,10 @@ keeps the substitution it was instantiated by, and each term its type, so
 elaboration writes every step down without deriving or matching it again;
 the caller's `check_inference` is the one re-derivation.  A failed run is
 backed by an independent semantic countermodel search over small rooted
-posets, so the two outcomes never rest on the same code path.
+posets, so the two outcomes never rest on the same code path.  That search
+builds the posets one size at a time and tries them smallest first, so it
+stops at the first size with a refuting frame and never builds the larger
+ones.
 
 `derive_into(builder, a)` is the one way into the search, and every search
 runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder, and
@@ -54,11 +57,11 @@ from .semantics import (
     KripkeModel,
     ResourceBoundError,
     chain_frame,
-    enumerate_rooted_posets,
     falsifying_model,
     frame_from_pairs,
     frame_valid,
     point_frame,
+    rooted_posets,
 )
 
 #: `_Search.prove` calls one search may make before `ResourceBoundError`.
@@ -186,6 +189,7 @@ class _Search:
         atoms: dict[Formula, Term] = {}
         seen: set[Formula] = set()
         work = list(context)
+        i = 0                   # work[:i] is done; `add` appends past it
 
         def add(formula: Formula, term: Term) -> None:
             if formula not in seen:
@@ -194,8 +198,9 @@ class _Search:
         def live_context() -> list[tuple[Formula, Term]]:
             return list(atoms.items()) + list(inert)
 
-        while work:
-            formula, term = work.pop(0)
+        while i < len(work):
+            formula, term = work[i]
+            i += 1
             if formula in seen:
                 continue
             if isinstance(formula, Bottom):
@@ -214,7 +219,7 @@ class _Search:
                 add(formula.left, _mk_fst(term))
                 add(formula.right, _mk_snd(term))
             elif isinstance(formula, Or):
-                rest = live_context() + work
+                rest = live_context() + work[i:]
                 xl, xr = self.fresh_name(), self.fresh_name()
                 left = self.prove(rest + [(formula.left, _var(xl, formula.left))], goal)
                 if left is None:
@@ -394,12 +399,15 @@ def derive_lemma(builder: ProofBuilder, a: Formula) -> Optional[int]:
 
 
 def countermodel_search(a: Formula) -> Optional[KripkeModel]:
-    """Smallest rooted poset model refuting `a`, or None within the bound."""
+    """Smallest rooted poset model refuting `a`, or None within the bound.
+    Sizes are built and tried one at a time, smallest first, so the search
+    stops at the first size with a refuting frame."""
     check_mode(a, Mode.INT)
-    for frame in enumerate_rooted_posets(_COUNTERMODEL_BUDGET.max_worlds):
-        model = falsifying_model(frame, a, _COUNTERMODEL_BUDGET)
-        if model is not None:
-            return model
+    for n in range(1, _COUNTERMODEL_BUDGET.max_worlds + 1):
+        for frame in rooted_posets(n):
+            model = falsifying_model(frame, a, _COUNTERMODEL_BUDGET)
+            if model is not None:
+                return model
     return None
 
 
@@ -416,7 +424,13 @@ def prove_ipc(a: Formula) -> ProofResult:
         if not report.ok or report.conclusion != asserts(a):
             raise ValueError(f"elaborated derivation fails checking: {report}")
         return ProofResult(derivation=inf)
-    model = countermodel_search(a)
+    try:
+        model = countermodel_search(a)
+    except ResourceBoundError as exc:
+        raise ResourceBoundError(
+            f"the sequent search refuted {render(a)}, but the countermodel search "
+            f"is budgeted to {_COUNTERMODEL_BUDGET.max_vars} variables and the "
+            f"formula has {len(variables(a))}") from exc
     if model is None:
         raise ResourceBoundError(
             f"search refuted {render(a)} but no countermodel exists within "

@@ -407,27 +407,35 @@ def _posets_on(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-MAX_POSET_WORLDS = 5        # the largest posets `enumerate_rooted_posets` makes
+MAX_POSET_WORLDS = 5        # the largest posets `rooted_posets` makes
+
+
+@lru_cache(maxsize=None)
+def rooted_posets(n: int) -> tuple[Frame, ...]:
+    """All rooted posets with exactly n points, one per isomorphism class,
+    in canonical-form order.  Cached per size, so a caller that stops at a
+    small size never builds the larger ones."""
+    if n > MAX_POSET_WORLDS:
+        raise ResourceBoundError(f"rooted poset enumeration is budgeted to {MAX_POSET_WORLDS} worlds")
+    frames = []
+    for inner in _posets_on(n - 1):
+        rel = [(1 << n) - 1]          # fresh root sees everything
+        for row in inner:
+            rel.append(row << 1)      # shift the old points past the root
+        frames.append(Frame(Mode.INT, n, _canonical_key(n, rel)))
+    frames.sort(key=lambda f: f.rel)
+    return tuple(frames)
 
 
 @lru_cache(maxsize=None)
 def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> tuple[Frame, ...]:
     """All rooted posets with 1..max_worlds points, one per isomorphism
-    class, in a deterministic (size, canonical form) order.  Cached: every
-    call with the same arguments returns the same tuple."""
+    class, in a deterministic (size, canonical form) order: the
+    `rooted_posets` of each size in turn.  Cached: every call with the same
+    arguments returns the same tuple."""
     if mode is not Mode.INT:
         raise ValueError("rooted poset enumeration is int-mode machinery")
-    if max_worlds > MAX_POSET_WORLDS:
-        raise ResourceBoundError(f"rooted poset enumeration is budgeted to {MAX_POSET_WORLDS} worlds")
-    frames = []
-    for n in range(1, max_worlds + 1):
-        for inner in _posets_on(n - 1):
-            rel = [(1 << n) - 1]          # fresh root sees everything
-            for row in inner:
-                rel.append(row << 1)      # shift the old points past the root
-            frames.append(Frame(Mode.INT, n, _canonical_key(n, rel)))
-    frames.sort(key=lambda f: (f.n, f.rel))
-    return tuple(frames)
+    return tuple(f for n in range(1, max_worlds + 1) for f in rooted_posets(n))
 
 
 def root_of(frame: Frame) -> Optional[int]:

@@ -285,6 +285,17 @@ def test_json_errors_are_records(workdir, capsys, name, text, argv, stderr, reco
     assert json.loads(captured.out) == record
 
 
+def test_ipc_budget_exit_names_the_countermodel_budget(capsys):
+    message = ("the sequent search refuted p | q | r | s | t -> p, but the countermodel "
+               "search is budgeted to 4 variables and the formula has 5")
+    assert main(["ipc", "(p | q | r | s | t) -> p"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"resource bound: {message}\n"
+    assert captured.out == ""
+    assert main(["--format", "json", "ipc", "(p | q | r | s | t) -> p"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3}
+
+
 def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
     (workdir / "hyp.proof").write_text("mode int\nhyp +\n1 + p ; hyp\n")
     assert main(["check", str(workdir / "hyp.proof")]) == 2

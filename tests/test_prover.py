@@ -10,7 +10,14 @@ from lukas.prover import (
     derive_into,
     prove_ipc,
 )
-from lukas.semantics import enumerate_rooted_posets, frame_valid, model_validates, Budget
+from lukas import semantics
+from lukas.semantics import (
+    Budget,
+    enumerate_rooted_posets,
+    falsifying_model,
+    frame_valid,
+    model_validates,
+)
 
 INT = system(Mode.INT)
 
@@ -117,6 +124,33 @@ def test_countermodel_search_is_sound():
 
 def test_theorem_has_no_countermodel():
     assert countermodel_search(parse_formula("p -> p")) is None
+
+
+def test_countermodel_search_builds_only_the_sizes_it_tries(monkeypatch):
+    built = []
+    posets_on = semantics._posets_on
+    monkeypatch.setattr(semantics, "_posets_on", lambda n: built.append(n + 1) or posets_on(n))
+    semantics.rooted_posets.cache_clear()
+    model = prove_ipc(parse_formula("p | ~p")).countermodel
+    assert model.frame.rel == (0b01, 0b11)      # the 2-chain: world 1 below world 0
+    assert model.var_mask("p") == 0b01          # p holds only at the top
+    assert built == [1, 2]
+
+
+def _full_walk(a):
+    """The search before sizes were built one at a time: every rooted poset
+    of up to five worlds, in enumeration order, built up front."""
+    for frame in enumerate_rooted_posets(5):
+        model = falsifying_model(frame, a, Budget(max_worlds=5, max_vars=4))
+        if model is not None:
+            return model
+    return None
+
+
+def test_countermodel_search_agrees_with_the_full_walk():
+    for text in CLASSICAL_ONLY + THEOREMS:
+        f = parse_formula(text)
+        assert countermodel_search(f) == _full_walk(f), text
 
 
 def _sb_steps_carry_their_match(inf):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -313,6 +314,23 @@ def test_enumeration_is_cached():
     first = enumerate_rooted_posets(5)
     assert isinstance(first, tuple)
     assert enumerate_rooted_posets(5) is first
+
+
+#: SHA-256 of `repr([(f.n, f.rel) for f in enumerate_rooted_posets(5)])`,
+#: pinned when the enumeration was built in one sorted pass over all sizes.
+ENUMERATION_DIGEST = "5f0252b01309ae2d365e33dcec1005e753104d82b8d59f8693a78d5902f2f5b3"
+
+
+def test_enumeration_order_is_pinned():
+    frames = [(f.n, f.rel) for f in enumerate_rooted_posets(5)]
+    assert hashlib.sha256(repr(frames).encode()).hexdigest() == ENUMERATION_DIGEST
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_enumeration_concatenates_the_sizes(k):
+    sizes = tuple(f for n in range(1, k + 1) for f in semantics.rooted_posets(n))
+    assert enumerate_rooted_posets(k) == sizes
+    assert all(f.n == n for n in range(1, k + 1) for f in semantics.rooted_posets(n))
 
 
 def test_enumeration_is_deterministic_and_canonical():
