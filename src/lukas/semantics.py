@@ -417,6 +417,8 @@ def rooted_posets(n: int) -> tuple[Frame, ...]:
     small size never builds the larger ones."""
     if n > MAX_POSET_WORLDS:
         raise ResourceBoundError(f"rooted poset enumeration is budgeted to {MAX_POSET_WORLDS} worlds")
+    if n < 1:
+        return ()
     frames = []
     for inner in _posets_on(n - 1):
         rel = [(1 << n) - 1]          # fresh root sees everything

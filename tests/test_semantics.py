@@ -333,6 +333,10 @@ def test_enumeration_concatenates_the_sizes(k):
     assert all(f.n == n for n in range(1, k + 1) for f in semantics.rooted_posets(n))
 
 
+def test_no_rooted_poset_has_no_worlds():
+    assert semantics.rooted_posets(0) == () == enumerate_rooted_posets(0)
+
+
 def test_enumeration_is_deterministic_and_canonical():
     first = enumerate_rooted_posets(4)
     second = enumerate_rooted_posets(4)
