@@ -120,6 +120,8 @@ def cmd_jankov(args, out: _Output) -> int:
 
 
 def cmd_axiomatize(args, out: _Output) -> int:
+    if args.bound < 0:
+        raise ValueError(f"--bound must be at least 0, got {args.bound}")
     frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
     oracle = tabular_oracle(frames, Budget(max_worlds=args.budget, max_vars=8))
     family = jankov_family(args.bound)

@@ -1,7 +1,8 @@
 """Jankov formulas of finite rooted posets, the axiomatizer that turns a
 tabular membership oracle into a deductive system over those formulas, and
 the end-to-end builders that emit machine-checkable refutations and (for the
-classical system) positive proofs.
+classical system) positive proofs.  A refutation uses the Ł-rules directly:
+a rejected Jankov formula by antiax, Jankov's lemma, mt and rs.
 
 The Jankov formula of a rooted poset F uses one variable per world and is
 frame-valid on G exactly when no generated subframe of G maps onto F by a
@@ -26,6 +27,7 @@ from .formulas import (
     conj,
     disj,
     file_lines,
+    has_box,
     neg,
     parse_formula,
     parse_formula_at,
@@ -35,13 +37,13 @@ from .kernel import (
     AntiAxiom,
     Axiom,
     DeductiveSystem,
-    Hypothesis,
     Inference,
     MP,
+    MT,
     ProofBuilder,
+    RS,
     Sb,
     Sign,
-    Step,
     asserts,
     check_inference,
     rejects,
@@ -63,7 +65,6 @@ from .semantics import (
     root_of,
     tabular_oracle,
 )
-from .transforms import symmetry_transform
 
 
 class SearchExhaustedError(Exception):
@@ -208,17 +209,21 @@ def build_refutation(ds: DeductiveSystem,
     Takes the first family entry whose formula C = J(G) the system rejects
     and whose frame G refutes `a` at its root.  With sigma the falsifying
     model's `jankov_substitution`, sigma(a) -> C is an intuitionistic
-    theorem (Jankov's lemma), so hyp +a, sb sigma, the lemma and mp make a
-    positive inference of +C from +a.  The refutation transformer turns it
-    into -C |- -a, and -C is discharged by the anti-axiom step.
+    theorem (Jankov's lemma).  The refutation is the paper's Ł-rules read
+    off that lemma: -C by antiax, the lemma, -sigma(a) by mt, and -a by rs
+    (no rs step when sigma(a) is `a`).
 
     Each entry must pair a frame with its Jankov formula, as `jankov_family`
     does.  No trial search runs: `SearchExhaustedError` means exactly that
-    no frame of the family with a rejected formula refutes `a`.
+    no frame of the family with a rejected formula refutes `a`.  Boxed
+    formulas raise `ValueError`, since the lemma is proved in Int.
     """
     if oracle(a):
         raise RefutationPreconditionError(
             f"{render(a)} is derivable per the oracle; nothing to refute")
+    if has_box(a):
+        raise ValueError(f"cannot refute the boxed formula {render(a)}: refutations "
+                         f"run over the int-mode Jankov family")
     for entry in family:
         if oracle(entry.formula) or not ds.is_anti_axiom(entry.formula):
             continue
@@ -228,36 +233,23 @@ def build_refutation(ds: DeductiveSystem,
         model = falsifying_model(entry.frame, a, _ORACLE_BUDGET)
         if model is None or forces(model, root_of(entry.frame), a):
             continue
-        sigma = jankov_substitution(model)
-        builder = ProofBuilder((asserts(a),))
-        instance = builder.apply(Sb.of(builder.add(asserts(a), Hypothesis()), sigma))
-        lemma = Implies(apply_substitution(sigma, a), entry.formula)
+        builder = ProofBuilder()
+        anti = builder.add(rejects(entry.formula), AntiAxiom())
+        lemma = Implies(apply_substitution(jankov_substitution(model), a), entry.formula)
         lemma_index = derive_into(builder, lemma)
         if lemma_index is None:
             raise ValueError(f"Jankov lemma {render(lemma)} did not prove; "
                              f"prover defect, or not a Jankov formula")
-        positive = builder.conclude(builder.apply(MP(lemma_index, instance)))
-        index, refutation = symmetry_transform(positive, oracle)
-        assert index == 1
-        return _discharge(ds, refutation, entry.formula)
+        instance = builder.apply(MT(lemma_index, anti))
+        refutation = builder.conclude(builder.add(rejects(a), RS(instance)))
+        report = check_inference(ds, refutation)
+        if not report.ok:
+            raise ValueError(f"refutation fails checking: {report}")
+        return refutation
     bound = max((entry.frame.n for entry in family), default=0)
     raise SearchExhaustedError(
         f"no frame of at most {bound} worlds with a rejected Jankov formula "
         f"refutes {render(a)}")
-
-
-def _discharge(ds: DeductiveSystem, refutation: Inference, anti: Formula) -> Inference:
-    """Rewrite step 1 of a refutation from `- C ; hyp` to `- C ; antiax`,
-    with no hypotheses left, and check the result."""
-    first = Step(rejects(anti), Hypothesis())
-    if refutation.steps[:1] != (first,):
-        raise ValueError(f"discharged refutation fails checking: "
-                         f"step 1 is not {first.statement} ; hyp")
-    result = Inference((), (Step(first.statement, AntiAxiom()),) + refutation.steps[1:])
-    report = check_inference(ds, result)
-    if not report.ok:
-        raise ValueError(f"discharged refutation fails checking: {report}")
-    return result
 
 
 # --- the classical system ----------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from lukas.cli import main
 from lukas.formulas import Var
-from lukas.kernel import Axiom, Hypothesis, Inference, Step, parse_proof_script, rejects
+from lukas.kernel import (
+    Axiom, Hypothesis, Inference, Step, asserts, parse_proof_script, rejects)
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
@@ -208,18 +209,41 @@ def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
 def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
     """A refutation that fails its final check is a defect, not "not found"."""
     import lukas.complete_sets
-    transform = lukas.complete_sets.symmetry_transform
 
-    def broken(inf, oracle):
-        index, ref = transform(inf, oracle)
-        return index, Inference(ref.hypotheses,
-                                ref.steps[:-1] + (Step(ref.conclusion, Axiom()),))
+    def unproved(builder, a):
+        return builder.add(asserts(a), Axiom())
 
-    monkeypatch.setattr(lukas.complete_sets, "symmetry_transform", broken)
+    monkeypatch.setattr(lukas.complete_sets, "derive_into", unproved)
     code = main(["refute", "--system", str(CORPUS / "cpc.ds"), "p | ~q"])
     captured = capsys.readouterr()
     assert code == 2 and "REFUTED" not in captured.out
-    assert captured.err.startswith("error: discharged refutation fails checking: ERR ")
+    assert captured.err == "error: refutation fails checking: ERR 2 axiom-not-in-system\n"
+
+
+def test_axiomatize_rejects_a_negative_bound_before_reading_frames(workdir, capsys):
+    argv = ["axiomatize", "--frames", str(workdir / "missing.frame"), "--bound", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be at least 0, got -1\n"
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "--bound must be at least 0, got -1", "exit": 2}
+
+
+def test_refute_over_k4_rejects_boxed_formulas_after_the_derivable_check(workdir, capsys):
+    frame, manifest = workdir / "k4.frame", workdir / "k4.ds"
+    frame.write_text("mode k4\nworlds 1\nrel 0 0\n")
+    code, out = run(capsys, "axiomatize", "--frames", str(frame))
+    assert code == 0 and out.startswith("mode k4\n")
+    manifest.write_text(out)
+    code, out = run(capsys, "refute", "--system", str(manifest), "[]p -> []p")
+    assert code == 1 and out == "DERIVABLE\n"
+    assert main(["refute", "--system", str(manifest), "[]p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot refute the boxed formula []p: refutations "
+                            "run over the int-mode Jankov family\n")
 
 
 def test_usage_error_exit_code(workdir, capsys):

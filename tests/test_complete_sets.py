@@ -27,7 +27,20 @@ from lukas.formulas import (
     render,
     variables,
 )
-from lukas.kernel import AntiAxiom, Inference, ProofBuilder, Step, check_inference, rejects, system
+from lukas.kernel import (
+    MP,
+    AntiAxiom,
+    Hypothesis,
+    Inference,
+    ProofBuilder,
+    Sb,
+    Step,
+    asserts,
+    check_inference,
+    rejects,
+    system,
+)
+from lukas.prover import derive_into
 from lukas.semantics import (
     Budget,
     KripkeModel,
@@ -43,6 +56,7 @@ from lukas.semantics import (
     root_of,
     tabular_oracle,
 )
+from lukas.transforms import symmetry_transform
 
 WIDE = Budget(max_worlds=8, max_vars=8)
 
@@ -232,54 +246,65 @@ def test_standardness_sample(cpc):
 CPC_MANIFEST = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "cpc.ds"
 
 
-def _discharge_by_splice(refutation, anti):
-    """Reference for `_discharge`: the refutation copied step by step after
-    an anti-axiom step that stands for its step 1."""
-    builder = ProofBuilder()
-    mapping = {1: builder.add(rejects(anti), AntiAxiom())}
-    last = len(refutation.steps)
-    for old in sorted(refutation.support(last)):
-        if old not in mapping:
-            step = refutation.steps[old - 1]
-            mapping[old] = builder.add(step.statement, step.justification.remap(mapping))
-    return builder.conclude(mapping[last])
+def _refute_by_transform(ds, a, oracle, family):
+    """Reference for `build_refutation`: the route it replaced.  A positive
+    inference hyp +a, sb sigma, Jankov's lemma and mp goes through the
+    refutation transformer, and step 1 of the result, - J(G) ; hyp, is then
+    rewritten to an anti-axiom step."""
+    for entry in family:
+        if oracle(entry.formula) or not ds.is_anti_axiom(entry.formula):
+            continue
+        model = falsifying_model(entry.frame, a, WIDE)
+        if model is None or forces(model, root_of(entry.frame), a):
+            continue
+        sigma = jankov_substitution(model)
+        builder = ProofBuilder((asserts(a),))
+        instance = builder.apply(Sb.of(builder.add(asserts(a), Hypothesis()), sigma))
+        lemma = derive_into(builder, Implies(apply_substitution(sigma, a), entry.formula))
+        positive = builder.conclude(builder.apply(MP(lemma, instance)))
+        index, refutation = symmetry_transform(positive, oracle)
+        assert index == 1
+        assert refutation.steps[0] == Step(rejects(entry.formula), Hypothesis())
+        first = Step(rejects(entry.formula), AntiAxiom())
+        return Inference((), (first,) + refutation.steps[1:])
+    raise AssertionError(f"no rejected frame refutes {render(a)}")
 
 
-def test_discharge_agrees_with_the_splice_it_replaced(monkeypatch):
-    import lukas.complete_sets
+def test_refutation_agrees_with_the_transformer_route_it_replaced():
     ds, oracle, family = manifest_context(parse_manifest(CPC_MANIFEST.read_text()))
-    discharge = lukas.complete_sets._discharge
-    seen = []
-
-    def recorded(ds, refutation, anti):
-        result = discharge(ds, refutation, anti)
-        seen.append(result == _discharge_by_splice(refutation, anti))
-        return result
-
-    monkeypatch.setattr(lukas.complete_sets, "_discharge", recorded)
     rng = random.Random(12)
-    while len(seen) < 40:
+    done = 0
+    while done < 40:
         f = random_formula(rng, ("p", "q"), depth=3)
         if not oracle(f):
-            build_refutation(ds, f, oracle, family)
-    assert all(seen)
+            assert build_refutation(ds, f, oracle, family) == \
+                _refute_by_transform(ds, f, oracle, family), render(f)
+            done += 1
+    oracle = tabular_oracle([DIAMOND], WIDE)
+    family = jankov_family(3)
+    ds = build_system(oracle, family)
+    rng = random.Random(11)
+    done = 0
+    while done < 20:
+        f = random_formula(rng, ("p", "q", "r"), depth=4)
+        if not tautology(f) or oracle(f):
+            continue
+        done += 1
+        try:
+            inf = build_refutation(ds, f, oracle, family)
+        except SearchExhaustedError:
+            continue
+        assert inf == _refute_by_transform(ds, f, oracle, family), render(f)
 
 
-def test_refute_exits_2_when_step_1_is_not_the_hypothesis(capsys, monkeypatch):
-    import lukas.complete_sets
-    from lukas.cli import main
-    transform = lukas.complete_sets.symmetry_transform
-
-    def misplaced(inf, oracle):
-        index, ref = transform(inf, oracle)
-        first = Step(ref.steps[0].statement, AntiAxiom())
-        return index, Inference(ref.hypotheses, (first,) + ref.steps[1:])
-
-    monkeypatch.setattr(lukas.complete_sets, "symmetry_transform", misplaced)
-    code = main(["refute", "--system", str(CPC_MANIFEST), "p | ~q"])
-    captured = capsys.readouterr()
-    assert code == 2 and "REFUTED" not in captured.out
-    assert captured.err.startswith("error: discharged refutation fails checking: step 1 ")
+def test_refutation_reports_a_lemma_that_does_not_prove():
+    """A family entry whose formula is not its frame's Jankov formula: the
+    lemma x0 -> ~x0 is no theorem, and that is an error, not "not found"."""
+    entry = FamilyEntry(point_frame(), parse_formula("~x0"))
+    oracle = tabular_oracle([point_frame()], WIDE)
+    ds = build_system(oracle, [entry])
+    with pytest.raises(ValueError, match=r"^Jankov lemma x0 -> ~x0 did not prove; "):
+        build_refutation(ds, parse_formula("p"), oracle, [entry])
 
 
 def test_refutation_k4_with_supplied_family():
