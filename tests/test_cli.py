@@ -5,8 +5,7 @@ import pytest
 
 from lukas.cli import main
 from lukas.formulas import Var
-from lukas.kernel import (
-    Axiom, Hypothesis, Inference, Step, asserts, parse_proof_script, rejects)
+from lukas.kernel import Axiom, Hypothesis, Inference, Step, asserts, parse_proof_script, rejects
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
