@@ -1,96 +1,4 @@
 """Lukasiewicz-style proof and refutation calculi for intermediate logics
 and normal extensions of K4, with finite Kripke semantics as the oracle."""
 
-from .formulas import (
-    BOT,
-    TOP,
-    And,
-    Bottom,
-    Box,
-    Formula,
-    Implies,
-    Mode,
-    ModeError,
-    Or,
-    ParseError,
-    Substitution,
-    Var,
-    apply_substitution,
-    match_instance,
-    neg,
-    parse_formula,
-    render,
-    variables,
-)
-from .kernel import (
-    IPC_AXIOMS,
-    AntiAxiom,
-    Axiom,
-    CheckReport,
-    DeductiveSystem,
-    Hypothesis,
-    Inference,
-    MP,
-    MT,
-    NS,
-    ProofBuilder,
-    RN,
-    RS,
-    Sb,
-    Sign,
-    Statement,
-    Step,
-    asserts,
-    check_inference,
-    parse_proof_script,
-    rejects,
-    render_proof_script,
-    system,
-)
-from .semantics import (
-    Budget,
-    Frame,
-    KripkeModel,
-    ResourceBoundError,
-    chain_frame,
-    check_adequacy,
-    enumerate_rooted_posets,
-    forces,
-    frame_from_pairs,
-    frame_valid,
-    model_validates,
-    p_morphic_reduct_exists,
-    parse_frame_file,
-    parse_model_file,
-    point_frame,
-    tabular_oracle,
-    truth_mask,
-)
-from .prover import (
-    ProofResult,
-    countermodel_search,
-    derive,
-    derive_into,
-    derive_lemma,
-    prove_ipc,
-)
-from .transforms import (
-    OracleInconsistencyError,
-    SymmetryDefectError,
-    TransformError,
-    extract_positive,
-    symmetry_transform,
-)
-from .complete_sets import (
-    FamilyEntry,
-    RefutationPreconditionError,
-    SearchExhaustedError,
-    build_positive_cpc,
-    build_refutation,
-    build_system,
-    cpc_context,
-    jankov_family,
-    jankov_formula,
-)
-
 __version__ = "0.1.0"

@@ -16,14 +16,12 @@ stops at the first size with a refuting frame and never builds the larger
 ones.
 
 `derive_into(builder, a)` is the one way into the search, and every search
-runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder, and
-`derive_lemma` filters speculative lemmas first.
+runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .formulas import (
@@ -36,7 +34,6 @@ from .formulas import (
     Var,
     apply_substitution,
     check_mode,
-    has_box,
     render,
     variables,
 )
@@ -53,14 +50,9 @@ from .kernel import (
 )
 from .semantics import (
     Budget,
-    Frame,
     KripkeModel,
     ResourceBoundError,
-    chain_frame,
     falsifying_model,
-    frame_from_pairs,
-    frame_valid,
-    point_frame,
     rooted_posets,
 )
 
@@ -390,14 +382,6 @@ def derive(a: Formula) -> Optional[Inference]:
     return None if index is None else builder.conclude(index)
 
 
-def derive_lemma(builder: ProofBuilder, a: Formula) -> Optional[int]:
-    """`derive_into` for a speculative lemma: None without a search when
-    `a` is boxed or fails on one of the small filter frames."""
-    if has_box(a) or not _plausibly_valid(a):
-        return None
-    return derive_into(builder, a)
-
-
 def countermodel_search(a: Formula) -> Optional[KripkeModel]:
     """Smallest rooted poset model refuting `a`, or None within the bound.
     Sizes are built and tried one at a time, smallest first, so the search
@@ -437,18 +421,3 @@ def prove_ipc(a: Formula) -> ProofResult:
             f"{_COUNTERMODEL_BUDGET.max_worlds} worlds")
     return ProofResult(countermodel=model)
 
-
-# --- lemma filter ------------------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _filter_frames() -> tuple[Frame, ...]:
-    """The one-point frame first: it is the classical truth table."""
-    fork = frame_from_pairs(Mode.INT, 3, [(0, 1), (0, 2)])
-    return (point_frame(), chain_frame(2), chain_frame(3), fork)
-
-
-def _plausibly_valid(a: Formula) -> bool:
-    """Cheap necessary conditions before running the decision procedure."""
-    budget = Budget(max_worlds=4, max_vars=max(3, len(variables(a))))
-    return all(frame_valid(f, a, budget) for f in _filter_frames())

@@ -61,31 +61,15 @@ DEFAULT_BUDGET = Budget()
 @dataclass(frozen=True)
 class Frame:
     """Worlds 0..n-1 with the accessibility relation stored row-wise as
-    bitmasks: bit j of rel[i] means i sees j.  In int mode the relation is a
-    partial order (and rows include the diagonal)."""
+    bitmasks: bit j of rel[i] means i sees j.  The relation is transitive,
+    and in int mode a partial order (so rows include the diagonal).  These
+    invariants are not checked here: every frame comes from
+    `frame_from_pairs`, which closes and checks a relation, or from
+    `rooted_posets`, whose rows are canonical posets."""
 
     mode: Mode
     n: int
     rel: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.rel) != self.n:
-            raise ValueError("relation size does not match world count")
-        full = (1 << self.n) - 1
-        for row in self.rel:
-            if row & ~full:
-                raise ValueError("relation mentions worlds out of range")
-        for i in range(self.n):
-            for j in _bits(self.rel[i]):
-                if self.rel[j] & ~self.rel[i]:
-                    raise ValueError("relation is not transitive")
-        if self.mode is Mode.INT:
-            for i in range(self.n):
-                if not self.rel[i] & (1 << i):
-                    raise ValueError("int-mode relation must be reflexive")
-                for j in _bits(self.rel[i]):
-                    if j != i and self.rel[j] & (1 << i):
-                        raise ValueError("int-mode relation must be antisymmetric")
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -100,36 +84,40 @@ def _bits(mask: int) -> Iterable[int]:
 
 def frame_from_pairs(mode: Mode, n: int, pairs: Iterable[tuple[int, int]]) -> Frame:
     """Build a frame from raw edges, applying the closure the mode needs:
-    reflexive-transitive in int mode, transitive in k4 mode."""
+    reflexive-transitive in int mode, transitive in k4 mode.  The closure is
+    Warshall's: one pass over the worlds k, each joining rel[k] into the
+    rows of the worlds that see k.  An int-mode cycle is a ValueError."""
     rel = [0] * n
+    sees = [0] * n          # sees[k]: the worlds other than k known to see k
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range")
         rel[i] |= 1 << j
+        if i != j:
+            sees[j] |= 1 << i
     if mode is Mode.INT:
         for i in range(n):
             rel[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rel[i]
-            for j in _bits(rel[i]):
-                acc |= rel[j]
-            if acc != rel[i]:
-                rel[i] = acc
-                changed = True
+    for k in range(n):
+        row, into = rel[k], sees[k]
+        for i in _bits(into):
+            rel[i] |= row
+        for j in _bits(row):
+            sees[j] |= into
+    # i, or a world that i sees, lands in sees[i] only on a cycle through i
+    if mode is Mode.INT and any(rel[i] & sees[i] for i in range(n)):
+        raise ValueError("int-mode relation must be antisymmetric")
     return Frame(mode, n, tuple(rel))
 
 
-def chain_frame(n: int, mode: Mode = Mode.INT) -> Frame:
-    """The n-element chain 0 < 1 < ... < n-1."""
-    return frame_from_pairs(mode, n, [(i, i + 1) for i in range(n - 1)])
+def chain_frame(n: int) -> Frame:
+    """The n-element int-mode chain 0 < 1 < ... < n-1."""
+    return frame_from_pairs(Mode.INT, n, [(i, i + 1) for i in range(n - 1)])
 
 
-def point_frame(mode: Mode = Mode.INT, reflexive: bool = True) -> Frame:
-    pairs = [(0, 0)] if reflexive else []
-    return frame_from_pairs(mode, 1, pairs)
+def point_frame() -> Frame:
+    """The one-point int-mode frame, the classical truth table."""
+    return frame_from_pairs(Mode.INT, 1, [])
 
 
 @dataclass(frozen=True)
@@ -430,13 +418,11 @@ def rooted_posets(n: int) -> tuple[Frame, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_rooted_posets(max_worlds: int, mode: Mode = Mode.INT) -> tuple[Frame, ...]:
+def enumerate_rooted_posets(max_worlds: int) -> tuple[Frame, ...]:
     """All rooted posets with 1..max_worlds points, one per isomorphism
     class, in a deterministic (size, canonical form) order: the
     `rooted_posets` of each size in turn.  Cached: every call with the same
-    arguments returns the same tuple."""
-    if mode is not Mode.INT:
-        raise ValueError("rooted poset enumeration is int-mode machinery")
+    bound returns the same tuple."""
     return tuple(f for n in range(1, max_worlds + 1) for f in rooted_posets(n))
 
 

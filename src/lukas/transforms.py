@@ -18,6 +18,7 @@ from .formulas import (
     TOP,
     Formula,
     Implies,
+    Mode,
     Var,
     apply_substitution,
     has_box,
@@ -39,8 +40,16 @@ from .kernel import (
     Step,
     rejects,
 )
-from .prover import derive, derive_lemma
-from .semantics import KripkeModel, point_frame, truth_mask
+from .prover import derive, derive_into
+from .semantics import (
+    Budget,
+    KripkeModel,
+    chain_frame,
+    frame_from_pairs,
+    frame_valid,
+    point_frame,
+    truth_mask,
+)
 
 
 class TransformError(ValueError):
@@ -88,6 +97,16 @@ def extract_positive(inf: Inference) -> Inference:
 #: The rule that rejects the premise of a one-premise positive rule.
 _REVERSE = {Sb: RS, NS: RN}
 _POINT = point_frame()
+#: The frames a speculative lemma must hold on before the search runs; the
+#: one-point frame, the classical truth table, first.
+_FILTER_FRAMES = (_POINT, chain_frame(2), chain_frame(3),
+                  frame_from_pairs(Mode.INT, 3, [(0, 1), (0, 2)]))
+
+
+def _plausibly_valid(a: Formula) -> bool:
+    """Cheap necessary conditions before running the decision procedure."""
+    budget = Budget(max_worlds=4, max_vars=max(3, len(variables(a))))
+    return all(frame_valid(f, a, budget) for f in _FILTER_FRAMES)
 
 
 @lru_cache(maxsize=1)
@@ -179,7 +198,8 @@ def symmetry_transform(inf: Inference,
         def reject_via_lemma(lemma_target: Formula, subst: dict[str, Formula],
                              source_index: int) -> Optional[int]:
             instance = apply_substitution(subst, lemma_target)
-            lemma_index = derive_lemma(builder, Implies(instance, formula))
+            lemma = Implies(instance, formula)
+            lemma_index = derive_into(builder, lemma) if _plausibly_valid(lemma) else None
             if lemma_index is None:
                 return None
             rejected_instance = builder.apply(MT(lemma_index, rejected_index))

@@ -1,6 +1,5 @@
 """Every name a `lukas` module imports is used in that module.  No linter
-ships with the package, so this stands in for an unused-import check; the
-package's `__init__.py` re-exports what it imports and is left out."""
+ships with the package, so this stands in for an unused-import check."""
 
 import ast
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lukas"
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,6 +374,47 @@ def test_model_file_applies_closures():
 def test_frame_file_rejects_cycles_in_int_mode():
     with pytest.raises(ValueError):
         parse_frame_file("mode int\nworlds 2\nrel 0 1\nrel 1 0\n")
+
+
+def naive_closure(mode, n, pairs):
+    """The pairs (i, j) with a path of edges from i to j, by the triple loop;
+    in int mode also every (i, i)."""
+    seen = set(pairs) | ({(i, i) for i in range(n)} if mode is Mode.INT else set())
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if (i, k) in seen and (k, j) in seen:
+                    seen.add((i, j))
+    return seen
+
+
+@pytest.mark.parametrize("mode", [Mode.INT, Mode.K4], ids=str)
+def test_frame_from_pairs_matches_a_naive_closure(mode):
+    rng = random.Random(16)
+    cycles = 0
+    for _ in range(1500):
+        n = rng.randrange(7)
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randrange(2 * n + 1))] if n else []
+        seen = naive_closure(mode, n, pairs)
+        cycle = any(i != j and (j, i) in seen for i, j in seen)
+        cycles += cycle
+        if mode is Mode.INT and cycle:
+            with pytest.raises(ValueError, match="int-mode relation must be antisymmetric"):
+                frame_from_pairs(mode, n, pairs)
+            continue
+        rows = tuple(sum(1 << j for j in range(n) if (i, j) in seen) for i in range(n))
+        assert frame_from_pairs(mode, n, pairs).rel == rows, (n, pairs)
+    assert 100 < cycles < 1400
+
+
+def test_frame_from_pairs_closes_a_long_chain_in_one_pass():
+    n = 3000
+    start = time.monotonic()
+    frame = frame_from_pairs(Mode.INT, n, [(i, i + 1) for i in range(n - 1)])
+    elapsed = time.monotonic() - start
+    assert frame.rel[0] == frame.full_mask() and frame.rel[-1] == 1 << (n - 1)
+    assert elapsed < 5.0, elapsed
 
 
 def test_frame_validates_helper():
