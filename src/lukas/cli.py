@@ -2,6 +2,9 @@
 
 Exit codes: 0 positive verdict, 1 negative verdict (refuted / invalid /
 not found), 2 usage or parse error, 3 resource bound exceeded.
+
+A command imports what only it needs when it runs, so `check` loads
+neither the prover nor the transforms.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .complete_sets import (
 )
 from .formulas import Mode, ModeError, ParseError, parse_formula, render
 from .kernel import asserts, check_inference, parse_proof_script, render_proof_script, system
-from .prover import prove_ipc
 from .semantics import (
     Budget,
     ResourceBoundError,
@@ -38,13 +40,6 @@ from .semantics import (
     parse_model_file,
     render_model_file,
     tabular_oracle,
-)
-from .transforms import (
-    SymmetryDefectError,
-    TransformError,
-    extract_positive,
-    require_all_positive,
-    symmetry_transform,
 )
 
 
@@ -154,6 +149,8 @@ def cmd_prove_cpc(args, out: _Output) -> int:
 
 
 def cmd_ipc(args, out: _Output) -> int:
+    from .prover import prove_ipc
+
     formula = parse_formula(args.formula, Mode.INT)
     result = prove_ipc(formula)
     if result.proved:
@@ -165,6 +162,9 @@ def cmd_ipc(args, out: _Output) -> int:
 
 
 def cmd_transform(args, out: _Output) -> int:
+    from .transforms import (SymmetryDefectError, TransformError, extract_positive,
+                             require_all_positive, symmetry_transform)
+
     mode, inf = parse_proof_script(_read(args.proof))
     if args.system:
         ds, oracle, _family = manifest_context(parse_manifest(_read(args.system)))

@@ -8,11 +8,13 @@ The Jankov formula of a rooted poset F uses one variable per world and is
 frame-valid on G exactly when no generated subframe of G maps onto F by a
 surjective p-morphism.  That characterization is what the test suite checks
 exhaustively; nothing here depends on trusting the construction.
+
+The builders that search import the prover when they run, so reading a
+manifest does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +23,7 @@ from .formulas import (
     Implies,
     Mode,
     ParseError,
+    Record,
     TOP,
     Var,
     apply_substitution,
@@ -49,7 +52,6 @@ from .kernel import (
     rejects,
     system,
 )
-from .prover import derive_into
 from .semantics import (
     MAX_POSET_WORLDS,
     Budget,
@@ -165,8 +167,8 @@ def jankov_formula(frame: Frame) -> Formula:
     return psi[root]
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(Record):
+    __slots__ = ("frame", "formula")
     frame: Frame
     formula: Formula
 
@@ -218,6 +220,7 @@ def build_refutation(ds: DeductiveSystem,
     no frame of the family with a rejected formula refutes `a`.  Boxed
     formulas raise `ValueError`, since the lemma is proved in Int.
     """
+    from .prover import derive_into
     if oracle(a):
         raise RefutationPreconditionError(
             f"{render(a)} is derivable per the oracle; nothing to refute")
@@ -275,6 +278,7 @@ def _stability_template(ds: DeductiveSystem,
                         family: Sequence[FamilyEntry]) -> Inference:
     """A hypothesis-free inference of +(~~p -> p) in the classical system,
     driven by the positive two-chain Jankov axiom."""
+    from .prover import derive_into
     two_chain = next((e for e in family if e.frame.n == 2), None)
     if two_chain is None or not ds.is_positive_axiom(two_chain.formula):
         raise TemplateUnavailableError("two-chain Jankov axiom is not positive")
@@ -302,6 +306,7 @@ def build_positive_cpc(a: Formula) -> Inference:
     """A checked hypothesis-free inference of +a in the classical system,
     for classically valid `a`: prove ~~a intuitionistically, instantiate the
     stability template to ~~a -> a, and close with modus ponens."""
+    from .prover import derive_into
     ds, oracle, _family, _frame, template = cpc_context()
     if not oracle(a):
         raise RefutationPreconditionError(
@@ -339,8 +344,8 @@ def render_manifest(mode: Mode, frames: Sequence[Frame], bound: int,
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(Record):
+    __slots__ = ("mode", "frames", "bound", "marks")
     mode: Mode
     frames: tuple[Frame, ...]
     bound: int

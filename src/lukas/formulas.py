@@ -22,6 +22,9 @@ it (300 negations of a 0.6 MB conjunction kept 189 MB; with the limit,
 4 MB).  A variable's text is its name.  Two threads may render one node at
 once and both fill its slot; they store the same text, so either may win.
 
+`Record` is the immutable base of the package's other value classes, and
+`Immutable` holds what it shares with `Formula`.
+
 Negation is surface sugar only: ``~A`` parses to ``Implies(A, Bottom)`` and the
 printer re-sugars that shape back to ``~A``.  The connective set is fixed to
 {and, or, implies, bottom} plus box in K4 mode.
@@ -35,6 +38,7 @@ import threading
 import weakref
 import zlib
 from collections.abc import Iterator, Mapping
+from operator import attrgetter
 from typing import Optional
 
 
@@ -133,18 +137,13 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 
 
-class Formula:
-    """A formula node.  Only the six subclasses below are ever built, and
-    only through their constructors, which intern them."""
+class Immutable:
+    """An object whose attributes are set once, by `_init` in its
+    constructor.  Its fields, `__match_args__`, make its `repr`, and a copy,
+    deep copy or pickle passes them, in order, to its class."""
 
-    __slots__ = ("_hash", "boxed", "_text", "__weakref__")
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    _prec = _PREC_UNARY
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # `==` is the identity test inherited from `object`.
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -158,6 +157,59 @@ class Formula:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+class Record(Immutable):
+    """An immutable record whose fields are the `__slots__` of its classes,
+    bases' first.  Unless it defines its own, each class gets the `__eq__`
+    and `__hash__` of a frozen dataclass (same class and equal fields; the
+    hash of the field tuple), made once from a getter of its fields, with no
+    generated code.  The constructor takes every field, by position or by
+    name; a class may define its own with the same parameters in order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"record class {cls.__name__} must declare __slots__")
+        fields = tuple(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ()))
+        cls.__match_args__ = fields
+        values = (attrgetter(*fields) if len(fields) > 1 else
+                  lambda r: tuple(getattr(r, n) for n in fields))
+
+        def __eq__(self, other: object) -> bool:
+            if type(other) is not type(self):
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __hash__(self) -> int:
+            return hash(values(self))
+
+        if "__eq__" not in cls.__dict__:        # a class's own pair wins
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *values, **named) -> None:
+        fields = self.__match_args__
+        if named:
+            values += tuple(named.pop(n) for n in fields[len(values):] if n in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            _init(self, name, value)
+
+
+class Formula(Immutable):
+    """A formula node.  Only the six subclasses below are ever built, and
+    only through their constructors, which intern them."""
+
+    __slots__ = ("_hash", "boxed", "_text", "__weakref__")
+    _prec = _PREC_UNARY
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # `==` is the identity test inherited from `object`.
 
     def __str__(self) -> str:
         return render(self)

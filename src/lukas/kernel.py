@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, get_args
 
 from .formulas import (
@@ -40,7 +39,9 @@ from .formulas import (
     Implies,
     Mode,
     ParseError,
+    Record,
     Substitution,
+    _init,
     apply_substitution,
     check_mode,
     file_lines,
@@ -64,10 +65,21 @@ class Sign(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Statement:
-    sign: Sign
-    formula: Formula
+class Statement(Record):
+    __slots__ = ("sign", "formula")
+
+    def __init__(self, sign: Sign, formula: Formula):
+        _init(self, "sign", sign)
+        _init(self, "formula", formula)
+
+    # signs and formulas are interned, so the parts compare by identity
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Statement:
+            return NotImplemented
+        return self.sign is other.sign and self.formula is other.formula
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.formula))
 
     def opposite(self) -> "Statement":
         return Statement(self.sign.opposite(), self.formula)
@@ -98,12 +110,16 @@ def rejects(a: Formula) -> Statement:
 # that does not hold fails with the rule's `fault`.
 
 
-class _Rule:
+class _Rule(Record):
+    __slots__ = ()
     tag: ClassVar[str]
     arity: ClassVar[int] = 0
     signs: ClassVar[Optional[tuple[Sign, ...]]]
     modal: ClassVar[bool] = False
     fault: ClassVar[str] = "formula-mismatch"
+
+    def __init__(self) -> None:     # no fields; faster than `Record`'s generic one
+        pass
 
     def refs(self) -> tuple[int, ...]:
         return ()
@@ -119,27 +135,31 @@ class _Rule:
         return self.conclusion(*premises) == statement.formula
 
 
-@dataclass(frozen=True)
 class _OnePremise(_Rule):
-    source: int
+    __slots__ = ("source",)
     arity = 1
+
+    def __init__(self, source: int):
+        _init(self, "source", source)
 
     def refs(self) -> tuple[int, ...]:
         return (self.source,)
 
 
-@dataclass(frozen=True)
 class _TwoPremises(_Rule):
-    major: int
-    minor: int
+    __slots__ = ("major", "minor")
     arity = 2
+
+    def __init__(self, major: int, minor: int):
+        _init(self, "major", major)
+        _init(self, "minor", minor)
 
     def refs(self) -> tuple[int, ...]:
         return (self.major, self.minor)
 
 
-@dataclass(frozen=True)
 class Axiom(_Rule):
+    __slots__ = ()
     tag = "ax"
     signs = (Sign.ASSERT,)
     fault = "axiom-not-in-system"
@@ -148,8 +168,8 @@ class Axiom(_Rule):
         return ds.is_positive_axiom(statement.formula)
 
 
-@dataclass(frozen=True)
 class AntiAxiom(_Rule):
+    __slots__ = ()
     tag = "antiax"
     signs = (Sign.REJECT,)
     fault = "axiom-not-in-system"
@@ -158,8 +178,8 @@ class AntiAxiom(_Rule):
         return ds.is_anti_axiom(statement.formula)
 
 
-@dataclass(frozen=True)
 class Hypothesis(_Rule):
+    __slots__ = ()
     tag = "hyp"
     signs = None
     fault = "hypothesis-not-present"
@@ -168,8 +188,8 @@ class Hypothesis(_Rule):
         return statement in hyps
 
 
-@dataclass(frozen=True)
 class MP(_TwoPremises):
+    __slots__ = ()
     tag = "mp"
     signs = (Sign.ASSERT, Sign.ASSERT, Sign.ASSERT)
 
@@ -177,11 +197,14 @@ class MP(_TwoPremises):
         return major.right if isinstance(major, Implies) and major.left == minor else None
 
 
-@dataclass(frozen=True)
 class Sb(_OnePremise):
-    mapping: tuple[tuple[str, Formula], ...]
+    __slots__ = ("mapping",)
     tag = "sb"
     signs = (Sign.ASSERT, Sign.ASSERT)
+
+    def __init__(self, source: int, mapping: tuple[tuple[str, Formula], ...]):
+        _init(self, "source", source)
+        _init(self, "mapping", mapping)
 
     @staticmethod
     def of(source: int, subst: Substitution) -> "Sb":
@@ -194,8 +217,8 @@ class Sb(_OnePremise):
         return apply_substitution(dict(self.mapping), source)
 
 
-@dataclass(frozen=True)
 class MT(_TwoPremises):
+    __slots__ = ()
     tag = "mt"
     signs = (Sign.ASSERT, Sign.REJECT, Sign.REJECT)
 
@@ -203,8 +226,8 @@ class MT(_TwoPremises):
         return major.left if isinstance(major, Implies) and major.right == minor else None
 
 
-@dataclass(frozen=True)
 class RS(_OnePremise):
+    __slots__ = ()
     tag = "rs"
     signs = (Sign.REJECT, Sign.REJECT)
     fault = "rs-no-match"
@@ -213,8 +236,8 @@ class RS(_OnePremise):
         return match_instance(statement.formula, premises[0]) is not None
 
 
-@dataclass(frozen=True)
 class NS(_OnePremise):
+    __slots__ = ()
     tag = "ns"
     signs = (Sign.ASSERT, Sign.ASSERT)
     modal = True
@@ -223,8 +246,8 @@ class NS(_OnePremise):
         return Box(source)
 
 
-@dataclass(frozen=True)
 class RN(_OnePremise):
+    __slots__ = ()
     tag = "rn"
     signs = (Sign.REJECT, Sign.REJECT)
     modal = True
@@ -238,16 +261,18 @@ Justification = Axiom | AntiAxiom | Hypothesis | MP | Sb | MT | RS | NS | RN
 _RULES: dict[str, type[_Rule]] = {rule.tag: rule for rule in get_args(Justification)}
 
 
-@dataclass(frozen=True)
-class Step:
-    statement: Statement
-    justification: Justification
+class Step(Record):
+    __slots__ = ("statement", "justification")
+
+    def __init__(self, statement: Statement, justification: Justification):
+        _init(self, "statement", statement)
+        _init(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(Record):
     """A justified statement sequence over a list of hypotheses."""
 
+    __slots__ = ("hypotheses", "steps")
     hypotheses: tuple[Statement, ...]
     steps: tuple[Step, ...]
 
@@ -358,8 +383,7 @@ MODAL_BASE_AXIOMS: tuple[Formula, ...] = tuple(parse_formula(t, Mode.K4)
 _K4_BASE_AXIOMS = IPC_AXIOMS + MODAL_BASE_AXIOMS
 
 
-@dataclass(frozen=True)
-class DeductiveSystem:
+class DeductiveSystem(Record):
     """Axioms plus anti-axioms under a fixed rule set.
 
     The intuitionistic basis is always part of the positive axioms, and in K4
@@ -367,13 +391,15 @@ class DeductiveSystem:
     and `anti_axioms` carry whatever the particular system adds on top.
     """
 
-    mode: Mode
-    extra_positive: frozenset[Formula] = frozenset()
-    anti_axioms: frozenset[Formula] = frozenset()
+    __slots__ = ("mode", "extra_positive", "anti_axioms")
 
-    def __post_init__(self) -> None:
-        for f in list(self.extra_positive) + list(self.anti_axioms):
-            check_mode(f, self.mode)
+    def __init__(self, mode: Mode, extra_positive: frozenset[Formula] = frozenset(),
+                 anti_axioms: frozenset[Formula] = frozenset()):
+        for f in list(extra_positive) + list(anti_axioms):
+            check_mode(f, mode)
+        _init(self, "mode", mode)
+        _init(self, "extra_positive", extra_positive)
+        _init(self, "anti_axioms", anti_axioms)
 
     @property
     def base_axioms(self) -> tuple[Formula, ...]:
@@ -398,12 +424,15 @@ def system(mode: Mode = Mode.INT,
 # --- checking --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    conclusion: Optional[Statement] = None
-    step: Optional[int] = None
-    reason: Optional[str] = None
+class CheckReport(Record):
+    __slots__ = ("ok", "conclusion", "step", "reason")
+
+    def __init__(self, ok: bool, conclusion: Optional[Statement] = None,
+                 step: Optional[int] = None, reason: Optional[str] = None):
+        _init(self, "ok", ok)
+        _init(self, "conclusion", conclusion)
+        _init(self, "step", step)
+        _init(self, "reason", reason)
 
     def __str__(self) -> str:
         if self.ok:

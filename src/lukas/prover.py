@@ -21,7 +21,6 @@ runs on the one fuel `_FUEL`; `derive` concludes it on a fresh builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .formulas import (
@@ -31,7 +30,9 @@ from .formulas import (
     Implies,
     Mode,
     Or,
+    Record,
     Var,
+    _init,
     apply_substitution,
     check_mode,
     render,
@@ -74,34 +75,50 @@ _EFQ_AX = 9
 # --- typed proof terms ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    type: Formula
-    free: frozenset[str]
+class Term(Record):
+    __slots__ = ("type", "free")        # the formula proved, the free variables
 
 
-@dataclass(frozen=True)
 class TmVar(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, type: Formula, free: frozenset[str], name: str):
+        _init(self, "type", type)
+        _init(self, "free", free)
+        _init(self, "name", name)
 
 
-@dataclass(frozen=True)
 class TmConst(Term):
-    axiom: int
-    binding: tuple[tuple[str, Formula], ...]    # as in `Sb.mapping`
+    __slots__ = ("axiom", "binding")        # `binding` as in `Sb.mapping`
+
+    def __init__(self, type: Formula, free: frozenset[str], axiom: int,
+                 binding: tuple[tuple[str, Formula], ...]):
+        _init(self, "type", type)
+        _init(self, "free", free)
+        _init(self, "axiom", axiom)
+        _init(self, "binding", binding)
 
 
-@dataclass(frozen=True)
 class TmApp(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, type: Formula, free: frozenset[str], fun: Term, arg: Term):
+        _init(self, "type", type)
+        _init(self, "free", free)
+        _init(self, "fun", fun)
+        _init(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class TmLam(Term):
-    var: str
-    var_type: Formula
-    body: Term
+    __slots__ = ("var", "var_type", "body")
+
+    def __init__(self, type: Formula, free: frozenset[str], var: str, var_type: Formula,
+                 body: Term):
+        _init(self, "type", type)
+        _init(self, "free", free)
+        _init(self, "var", var)
+        _init(self, "var_type", var_type)
+        _init(self, "body", body)
 
 
 def _var(name: str, type_: Formula) -> TmVar:
@@ -347,10 +364,13 @@ def _load_term(builder: ProofBuilder, term: Term) -> int:
 # --- public API --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofResult:
-    derivation: Optional[Inference] = None
-    countermodel: Optional[KripkeModel] = None
+class ProofResult(Record):
+    __slots__ = ("derivation", "countermodel")
+
+    def __init__(self, derivation: Optional[Inference] = None,
+                 countermodel: Optional[KripkeModel] = None):
+        _init(self, "derivation", derivation)
+        _init(self, "countermodel", countermodel)
 
     @property
     def proved(self) -> bool:

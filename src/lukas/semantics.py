@@ -18,7 +18,6 @@ Frame/model file format:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +30,9 @@ from .formulas import (
     Mode,
     Or,
     ParseError,
+    Record,
     Var,
+    _init,
     check_mode,
     file_lines,
 )
@@ -47,19 +48,20 @@ class ResourceBoundError(Exception):
         self.message, self.line = message, line
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Hard limits for exhaustive valuation enumeration."""
 
-    max_worlds: int = 8
-    max_vars: int = 3
+    __slots__ = ("max_worlds", "max_vars")
+
+    def __init__(self, max_worlds: int = 8, max_vars: int = 3):
+        _init(self, "max_worlds", max_worlds)
+        _init(self, "max_vars", max_vars)
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Worlds 0..n-1 with the accessibility relation stored row-wise as
     bitmasks: bit j of rel[i] means i sees j.  The relation is transitive,
     and in int mode a partial order (so rows include the diagonal).  These
@@ -67,6 +69,7 @@ class Frame:
     `frame_from_pairs`, which closes and checks a relation, or from
     `rooted_posets`, whose rows are canonical posets."""
 
+    __slots__ = ("mode", "n", "rel")
     mode: Mode
     n: int
     rel: tuple[int, ...]
@@ -120,8 +123,8 @@ def point_frame() -> Frame:
     return frame_from_pairs(Mode.INT, 1, [])
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Record):
+    __slots__ = ("frame", "valuation")
     frame: Frame
     valuation: tuple[tuple[str, int], ...]
 
@@ -539,7 +542,13 @@ def _parse_frame_lines(text: str,
         for w in worlds:
             mask |= 1 << w
         valuation[name] = mask
-    return frame_from_pairs(mode, n, [(i, j) for _, i, j in edges]), valuation
+    pairs = [(i, j) for _, i, j in edges]
+    try:
+        return frame_from_pairs(mode, n, pairs), valuation
+    except ValueError as exc:       # an int-mode cycle: name the first edge on one
+        closed = frame_from_pairs(Mode.K4, n, pairs).rel
+        line = next(number for number, i, j in edges if i != j and closed[j] >> i & 1)
+        raise ParseError(str(exc), line=line) from None
 
 
 def render_frame_file(frame: Frame) -> str:

@@ -194,9 +194,9 @@ def test_transform_symmetry_checks_its_input(workdir, capsys):
 
 
 def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
-    import lukas.cli
+    import lukas.transforms
     unsound = Inference((rejects(Var("q")),), (Step(rejects(Var("p")), Hypothesis()),))
-    monkeypatch.setattr(lukas.cli, "symmetry_transform", lambda inf, oracle: (1, unsound))
+    monkeypatch.setattr(lukas.transforms, "symmetry_transform", lambda inf, oracle: (1, unsound))
     code = main(["transform", "symmetry", str(workdir / "ok.proof"),
                  "--frames", str(workdir / "chain2.frame")])
     captured = capsys.readouterr()
@@ -207,12 +207,12 @@ def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
 
 def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
     """A refutation that fails its final check is a defect, not "not found"."""
-    import lukas.complete_sets
+    import lukas.prover
 
     def unproved(builder, a):
         return builder.add(asserts(a), Axiom())
 
-    monkeypatch.setattr(lukas.complete_sets, "derive_into", unproved)
+    monkeypatch.setattr(lukas.prover, "derive_into", unproved)
     code = main(["refute", "--system", str(CORPUS / "cpc.ds"), "p | ~q"])
     captured = capsys.readouterr()
     assert code == 2 and "REFUTED" not in captured.out
@@ -456,6 +456,24 @@ def test_world_budget_leaves_models_alone(workdir, capsys):
     code, out = run(capsys, "--budget", "2", "valid", "--model", str(workdir / "big.kripke"),
                     "~~p")
     assert code == 0 and out.strip() == "VALID"
+
+
+@pytest.mark.parametrize("argv, suffix", [
+    (["jankov", "--frame", "{path}"], ".frame"),
+    (["valid", "--model", "{path}", "p"], ".kripke"),
+], ids=["jankov-frame", "valid-model"])
+def test_int_mode_cycle_names_its_first_rel_line(workdir, capsys, argv, suffix):
+    """Edge 0 -> 1 lies on no cycle; 1 -> 2 on line 4 is the first that does."""
+    path = workdir / f"cycle{suffix}"
+    path.write_text("mode int\nworlds 3\nrel 0 1\nrel 1 2\nrel 2 1\nval p 1\n")
+    argv = [a.format(path=path) for a in argv]
+    message = "int-mode relation must be antisymmetric"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (at line 4)\n"
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2, "line": 4}
 
 
 #: sha256 of the standard output of each command, pinned so that a

@@ -371,9 +371,9 @@ def test_formula_hashes_do_not_depend_on_the_hash_seed():
 
 
 def test_reimport_frees_the_previous_import():
-    """A fresh import of `lukas.cli`, which loads every module, must not keep
-    the previous one's modules alive, as module-level `typing` aliases did
-    through typing's cache."""
+    """A fresh import of `lukas.cli` and `lukas.transforms`, which load every
+    module, must not keep the previous one's modules alive, as module-level
+    `typing` aliases did through typing's cache."""
     code = """
 import gc, importlib, sys, weakref
 
@@ -381,6 +381,7 @@ def fresh():
     for name in [m for m in sys.modules if m == "lukas" or m.startswith("lukas.")]:
         del sys.modules[name]
     importlib.import_module("lukas.cli")
+    importlib.import_module("lukas.transforms")
     return sys.modules["lukas.formulas"]
 
 first = weakref.ref(fresh().Formula)

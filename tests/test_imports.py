@@ -1,7 +1,11 @@
 """Every name a `lukas` module imports is used in that module.  No linter
-ships with the package, so this stands in for an unused-import check."""
+ships with the package, so this stands in for an unused-import check.  And
+a command loads only the modules it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,29 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .kernel import Hypothesis, Step, rejects\nimport json\nrejects(1)\n"
     assert unused_imports(source) == ["Hypothesis (line 1)", "Step (line 1)", "json (line 2)"]
+
+
+CORPUS = PACKAGE.parent.parent / "perfbench" / "corpus"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, ["dataclasses", "inspect"]),
+    (["check", str(CORPUS / "scripts" / "s000.proof"), "--system", str(CORPUS / "cpc.ds")],
+     ["lukas.prover", "lukas.transforms"]),
+    (["ipc", "p -> p"], ["lukas.transforms"]),
+], ids=["import", "check", "ipc"])
+def test_a_command_loads_only_what_it_needs(argv, absent):
+    """In a fresh interpreter, importing `lukas.cli`, and running a command,
+    loads none of the modules in `absent`."""
+    code = ("import sys\nimport lukas.cli\n"
+            f"code = 0 if {argv!r} is None else lukas.cli.main({argv!r})\n"
+            "print(code, *sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "lukas.cli" in modules
+    assert [m for m in absent if m in modules] == []

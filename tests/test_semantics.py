@@ -15,6 +15,7 @@ from lukas.formulas import (
     Implies,
     Mode,
     Or,
+    ParseError,
     Var,
     parse_formula,
     variables,
@@ -406,6 +407,28 @@ def test_frame_from_pairs_matches_a_naive_closure(mode):
         rows = tuple(sum(1 << j for j in range(n) if (i, j) in seen) for i in range(n))
         assert frame_from_pairs(mode, n, pairs).rel == rows, (n, pairs)
     assert 100 < cycles < 1400
+
+
+def test_frame_file_names_the_first_rel_line_on_a_cycle():
+    """An int-mode cycle in a frame file is a `ParseError` on the first
+    `rel` line whose edge i -> j, i != j, has a path back from j to i."""
+    rng = random.Random(17)
+    cycles = later = 0
+    for _ in range(600):
+        n = rng.randrange(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        seen = naive_closure(Mode.K4, n, pairs)
+        on_cycle = [k for k, (i, j) in enumerate(pairs) if i != j and (j, i) in seen]
+        text = f"mode int\nworlds {n}\n" + "".join(f"rel {i} {j}\n" for i, j in pairs)
+        if not on_cycle:
+            parse_frame_file(text)
+            continue
+        cycles += 1
+        with pytest.raises(ParseError, match="int-mode relation must be antisymmetric") as err:
+            parse_frame_file(text)
+        assert err.value.line == on_cycle[0] + 3, (n, pairs)
+        later += on_cycle[0] > 0
+    assert 80 < cycles < 500 and later > 20, (cycles, later)
 
 
 def test_frame_from_pairs_closes_a_long_chain_in_one_pass():
