@@ -262,6 +262,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     out = _Output(args.format == "json")
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return args.run(args, out)
     except (ParseError, ModeError, OSError, ValueError) as exc:
         return out.error(2, "error", exc)

@@ -401,103 +401,97 @@ def match_instance(pattern: Formula, target: Formula) -> Optional[dict[str, Form
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<impl>->|→)
-  | (?P<and>&|∧)
-  | (?P<or>\||∨)
-  | (?P<not>~|¬|∼)
-  | (?P<box>\[\]|□)
-  | (?P<bot>bot\b|⊥)
-  | (?P<ident>[a-z][a-z0-9_]*)
-  | (?P<lp>\()
-  | (?P<rp>\))
-""",
-    re.VERBOSE,
-)
+#: One token per match, blanks skipped: the connectives and brackets, `bot`
+#: (unless a name character follows), a variable name, and, last, any other
+#: character, which no formula may hold.
+_TOKENS = re.compile(r"->|→|&|∧|\||∨|~|¬|∼|\[\]|□|bot\b|⊥|[a-z][a-z0-9_]*|\(|\)|\S")
+
+_BINARY = {"->": (Implies, _PREC_IMPL), "→": (Implies, _PREC_IMPL),
+           "|": (Or, _PREC_OR), "∨": (Or, _PREC_OR),
+           "&": (And, _PREC_AND), "∧": (And, _PREC_AND)}
+_NOT = frozenset(("~", "¬", "∼"))
+_BOXES = frozenset(("[]", "□"))
+_VALID = frozenset(("(", ")", "bot", "⊥", *_NOT, *_BOXES, *_BINARY))
 
 
 class _Parser:
+    """Precedence climbing (Pratt, *Top down operator precedence*, 1973)
+    over the tokens of `text`, which end in "".  A token's position is
+    worked out only for an error, by scanning the text again."""
+
+    __slots__ = ("text", "tokens", "index", "modal")
+
     def __init__(self, text: str, mode: Mode):
         self.text = text
-        self.mode = mode
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            kind = m.lastgroup
-            assert kind is not None
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("eof", "", len(text)))
+        self.tokens = _TOKENS.findall(text)
+        self.tokens.append("")
         self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+        self.modal = mode is Mode.K4
 
     def parse(self) -> Formula:
-        f = self.implication()
-        kind, value, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected token {value!r}", pos)
+        try:
+            f = self.expr(_PREC_IMPL)
+        except RecursionError:
+            self.check_characters()     # a character no formula may hold is named first
+            raise
+        if self.tokens[self.index]:
+            raise self.error(f"unexpected token {self.tokens[self.index]!r}", self.index)
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "impl":
-            self.advance()
-            right = self.implication()
-            return Implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        acc = self.conjunction()
-        while self.peek()[0] == "or":
-            self.advance()
-            acc = Or(acc, self.conjunction())
-        return acc
-
-    def conjunction(self) -> Formula:
-        acc = self.unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            acc = And(acc, self.unary())
-        return acc
+    def expr(self, min_prec: int) -> Formula:
+        """The longest formula here whose connectives bind at least as
+        tightly as `min_prec`: `&` and `|` group to the left, `->` to the
+        right."""
+        left = self.unary()
+        while True:
+            op = _BINARY.get(self.tokens[self.index])
+            if op is None or op[1] < min_prec:
+                return left
+            self.index += 1
+            cls, prec = op
+            if cls is Implies:
+                return Implies(left, self.expr(_PREC_IMPL))
+            left = cls(left, self.expr(prec + 1))
 
     def unary(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind == "not":
-            self.advance()
+        index = self.index
+        token = self.tokens[index]
+        self.index = index + 1
+        if token in _NOT:
             return neg(self.unary())
-        if kind == "box":
-            if self.mode is Mode.INT:
-                raise ParseError("modality not allowed in int mode", pos)
-            self.advance()
+        if token in _BOXES:
+            if not self.modal:
+                raise self.error("modality not allowed in int mode", index)
             return Box(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.advance()
-        if kind == "ident":
-            return Var(value)
-        if kind == "bot":
-            return BOT
-        if kind == "lp":
-            f = self.implication()
-            kind, value, pos = self.advance()
-            if kind != "rp":
-                raise ParseError("expected ')'", pos)
+        if token == "(":
+            f = self.expr(_PREC_IMPL)
+            if self.tokens[self.index] != ")":
+                raise self.error("expected ')'", self.index)
+            self.index += 1
             return f
-        raise ParseError(f"expected a formula, found {value!r}" if value else "unexpected end of input", pos)
+        if token == "bot" or token == "⊥":
+            return BOT
+        if "a" <= token < "{":      # a name: it starts with a lower-case letter
+            return Var(token)
+        raise self.error(f"expected a formula, found {token!r}" if token
+                         else "unexpected end of input", index)
+
+    def check_characters(self) -> None:
+        """Raise on the first character in the text that no token takes."""
+        for m in _TOKENS.finditer(self.text):
+            token = m.group()
+            if token not in _VALID and not "a" <= token < "{":
+                raise ParseError(f"unexpected character {token!r}", m.start())
+
+    def error(self, message: str, index: int) -> ParseError:
+        """`message` at the position of token `index`."""
+        self.check_characters()
+        position = len(self.text)
+        for i, m in enumerate(_TOKENS.finditer(self.text)):
+            if i == index:
+                position = m.start()
+                break
+        return ParseError(message, position)
 
 
 def parse_formula(text: str, mode: Mode = Mode.INT) -> Formula:
@@ -506,8 +500,7 @@ def parse_formula(text: str, mode: Mode = Mode.INT) -> Formula:
 
 def is_variable_name(text: str) -> bool:
     """Whether `text` is exactly one variable name."""
-    m = _TOKEN_RE.fullmatch(text)
-    return m is not None and m.lastgroup == "ident"
+    return _TOKENS.fullmatch(text) is not None and "a" <= text < "{" and text != "bot"
 
 
 def file_lines(text: str) -> Iterator[tuple[int, str]]:

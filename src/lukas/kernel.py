@@ -18,7 +18,9 @@ Step numbers run consecutively from 1; rule indices point strictly backwards.
 The reader parses each distinct formula text once per script, and enters
 the cached rendering of every subformula it has read in the same per-call
 table, so a substitution entry or statement that spells an earlier
-subformula is looked up, not parsed.  An `mp`, `mt`, `sb`, `ns` or `rn`
+subformula is looked up, not parsed.  The table starts as a copy of one
+built at import from the script's mode's base axioms, so an `ax` step that
+states a base axiom is looked up too.  An `mp`, `mt`, `sb`, `ns` or `rn`
 statement is fixed by its premises, so when the conclusion that the rule
 table gives renders as the step's text, the reader takes that formula
 instead of parsing the text.  Either way it is the very object a parse
@@ -383,6 +385,19 @@ MODAL_BASE_AXIOMS: tuple[Formula, ...] = tuple(parse_formula(t, Mode.K4)
 _K4_BASE_AXIOMS = IPC_AXIOMS + MODAL_BASE_AXIOMS
 
 
+def _rendering_table(axioms: tuple[Formula, ...]) -> dict[str, Formula]:
+    table: dict[str, Formula] = {}
+    for a in axioms:
+        index_renderings(a, table)
+    return table
+
+
+#: The rendering of every subformula of each mode's base axioms, mapped to
+#: that subformula: the table a script in that mode starts from.
+_AXIOM_RENDERINGS = {Mode.INT: _rendering_table(IPC_AXIOMS),
+                     Mode.K4: _rendering_table(_K4_BASE_AXIOMS)}
+
+
 class DeductiveSystem(Record):
     """Axioms plus anti-axioms under a fixed rule set.
 
@@ -527,7 +542,7 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
     hypotheses: list[Statement] = []
     steps: list[Step] = []
     expected = 1
-    parsed: dict[str, Formula] = {}
+    parsed: dict[str, Formula] = {}     # set from the mode's table on the mode line
 
     def read(formula_text: str, offset: int, just: Optional[Justification] = None) -> Formula:
         """The formula in `formula_text`, which starts at `offset` of its
@@ -552,11 +567,12 @@ def parse_proof_script(text: str) -> tuple[Mode, Inference]:
                 if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("int", "k4"):
                     raise ParseError("first line must be 'mode int' or 'mode k4'")
                 mode = Mode(parts[1])
+                parsed = dict(_AXIOM_RENDERINGS[mode])
                 continue
-            if line.lstrip().startswith("hyp "):
+            parts = line.split(None, 2)
+            if parts[0] == "hyp":
                 if steps:
                     raise ParseError("hypotheses must precede steps")
-                parts = line.split(None, 2)
                 if len(parts) != 3:
                     raise ParseError(f"hyp needs a sign and a formula: {line.strip()!r}")
                 _, sign_tok, formula_text = parts

@@ -326,6 +326,26 @@ def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):
     assert err.startswith("error: hyp needs a sign and a formula")
 
 
+@pytest.mark.parametrize("line", ["hyp", "hyp\t+"], ids=["bare", "tab"])
+def test_a_hyp_line_without_formula_says_so(workdir, capsys, line):
+    (workdir / "hyp.proof").write_text(f"mode int\n{line}\n1 + p ; hyp\n")
+    argv = ["check", str(workdir / "hyp.proof")]
+    message = f"hyp needs a sign and a formula: {line!r}"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} (at line 2)\n"
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2, "line": 2}
+
+
+@pytest.mark.parametrize("line", ["hyp\t+ p", "\thyp  +\tp", "hyp +\tp"],
+                         ids=["tab-after-hyp", "tabs-between", "tab-after-sign"])
+def test_a_hyp_line_may_use_tabs(workdir, capsys, line):
+    (workdir / "hyp.proof").write_text(f"mode int\n{line}\n1 + p ; hyp\n")
+    argv = ["check", str(workdir / "hyp.proof")]
+    assert run(capsys, *argv) == (0, "OK + p\n")
+    assert run(capsys, "--format", "json", *argv) == (0, '{"verdict": "OK + p"}\n')
+
+
 @pytest.mark.parametrize("extra, keep_marks", [("+ q\n", True), ("", False)],
                          ids=["extra-mark", "missing-mark"])
 def test_manifest_must_mark_exactly_its_family(workdir, capsys, extra, keep_marks):
@@ -432,6 +452,25 @@ def test_world_counts_over_the_budget_stop_on_their_line(workdir, capsys, name, 
     assert main(["--format", "json"] + argv) == 3
     assert json.loads(capsys.readouterr().out) == {
         "error": "frame has 20000 worlds, budget allows 8", "exit": 3, "line": 2}
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["--budget", "-1", "valid", "--frame", "{dir}/chain2.frame", "p"], -1),
+    (["valid", "--frame", "{dir}/chain2.frame", "--budget", "-1", "p"], -1),
+    (["axiomatize", "--frames", "{dir}/chain2.frame", "--budget", "-2"], -2),
+], ids=["global", "valid", "axiomatize"])
+def test_a_negative_budget_is_a_usage_error(workdir, capsys, argv, budget):
+    argv = [a.format(dir=workdir) for a in argv]
+    message = f"--budget must be at least 0, got {budget}"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2}
+    zero = ["0" if a == str(budget) else a for a in argv]
+    assert main(["--format", "json"] + zero) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "frame has 2 worlds, budget allows 0", "exit": 3, "line": 2}
 
 
 @pytest.mark.parametrize("argv, cap", [

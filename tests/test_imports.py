@@ -1,6 +1,7 @@
-"""Every name a `lukas` module imports is used in that module.  No linter
-ships with the package, so this stands in for an unused-import check.  And
-a command loads only the modules it needs."""
+"""Every name a `lukas` module imports is used in that module, and every
+private module-level name is read somewhere in the package.  No linter
+ships with the package, so this stands in for unused-import and dead-code
+checks.  And a command loads only the modules it needs."""
 
 import ast
 import os
@@ -36,6 +37,48 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .kernel import Hypothesis, Step, rejects\nimport json\nrejects(1)\n"
     assert unused_imports(source) == ["Hypothesis (line 1)", "Step (line 1)", "json (line 2)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (`_x`, not `__x__`) that a module of `sources`
+    binds at its top level and that no module reads, imports or takes as
+    an attribute, each as `module:name`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names if name.startswith("_")
+                       and not name.endswith("__") and name not in read]
+    return unread
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": "_A, _B = 1, 2\n_OLD = 3\n__version__ = 4\n"
+             "def _dead():\n    return _A\nclass _Unused:\n    pass\n",
+        "b": "from .a import _B\n_helper: int = 5\n",
+    }
+    assert unread_private_names(sources) == ["a:_OLD", "a:_dead", "a:_Unused", "b:_helper"]
 
 
 CORPUS = PACKAGE.parent.parent / "perfbench" / "corpus"

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from generators import random_mixed_inference
-from lukas.formulas import Box, Mode, Var, file_lines, parse_formula, render
+from lukas.formulas import Box, Mode, ParseError, Var, file_lines, parse_formula, render
 from lukas.kernel import (
     IPC_AXIOMS,
     AntiAxiom,
@@ -173,7 +173,6 @@ def test_script_with_substitution_and_comments():
 
 def test_script_rejects_bad_numbering():
     bad = "mode int\n2 + p ; hyp\n"
-    from lukas.formulas import ParseError
     with pytest.raises(ParseError):
         parse_proof_script(bad)
 
@@ -430,17 +429,51 @@ def _recording(monkeypatch, name):
 def test_reader_takes_earlier_subformulas_without_parsing(monkeypatch):
     """An `mp` statement and a substitution entry that spell a subformula of
     an earlier step read as that formula, with neither the parser nor the
-    rule table asked; they are the objects a parse gives."""
+    rule table asked; they are the objects a parse gives.  So does the
+    base axiom of the `ax` step."""
     text = EARLIER.format(**EARLIER_CANONICAL)
     parses, givens = _recording(monkeypatch, "parse_formula_at"), _recording(monkeypatch, "_given")
     _mode, inf = parse_proof_script(text)
-    assert [text.strip() for text, _mode, _offset in parses] == ["(a | b) & c", "p -> q -> p", "d"]
+    assert [text.strip() for text, _mode, _offset in parses] == ["(a | b) & c", "d"]
     assert [text for *_, text in givens] == [
-        "p -> q -> p", "(a | b) & c -> d -> (a | b) & c", "a | b -> c -> a | b"]
+        "(a | b) & c -> d -> (a | b) & c", "a | b -> c -> a | b"]
     assert dict(inf.steps[4].justification.mapping)["p"] is parse_formula("a | b")
     assert inf.steps[3].statement.formula is parse_formula("d -> (a | b) & c")
     assert check_inference(INT, inf).ok
     assert_steps_read_as_parsed(text)
+
+
+def test_reader_takes_base_axioms_without_parsing(monkeypatch):
+    """No `ax` step that states a base axiom of its script's mode, in any
+    stored corpus script, reaches the parser."""
+    parses = _recording(monkeypatch, "parse_formula_at")
+    stated = 0
+    for path in CORPUS_SCRIPTS:
+        script = path.read_text()
+        del parses[:]
+        mode, inf = parse_proof_script(script)
+        texts = {text.strip() for text, _mode, _offset in parses}
+        base = system(mode).base_axioms
+        for step, text in zip(inf.steps, _step_texts(script)):
+            if isinstance(step.justification, Axiom) and step.statement.formula in base:
+                stated += 1
+                assert text.strip() not in texts, (path.name, text)
+    assert stated > 1000
+
+
+def test_reader_axiom_tables_keep_to_their_mode(monkeypatch):
+    """A K4 axiom reads without a parse in a k4 script, and is still a
+    modality error at its column in an int script."""
+    line = "1 + []p -> [][]p ; ax\n"
+    parses = _recording(monkeypatch, "parse_formula_at")
+    mode, inf = parse_proof_script("mode k4\n" + line)
+    assert parses == []
+    assert inf.steps[0].statement.formula is parse_formula("[]p -> [][]p", Mode.K4)
+    assert check_inference(K4, inf).ok
+    with pytest.raises(ParseError) as err:
+        parse_proof_script("mode int\n" + line)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "modality not allowed in int mode", 2, 5)
 
 
 @pytest.mark.parametrize("field, text", [
@@ -458,7 +491,6 @@ def test_reader_parses_other_spellings_of_earlier_subformulas(field, text):
     ("rhs", "(a | b", 46), ("rhs", "a | b)", 44), ("mp", "d -> (a | b) &", 20),
 ])
 def test_reader_errors_near_earlier_subformulas_name_line_and_column(field, text, column):
-    from lukas.formulas import ParseError
     script = EARLIER.format(**{**EARLIER_CANONICAL, field: text})
     with pytest.raises(ParseError) as err:
         parse_proof_script(script)
