@@ -7,12 +7,7 @@ import argparse
 
 from lukas.complete_sets import jankov_formula
 from lukas.formulas import render
-from lukas.semantics import (
-    Budget,
-    enumerate_rooted_posets,
-    frame_valid,
-    p_morphic_reduct_exists,
-)
+from lukas.semantics import enumerate_rooted_posets, frame_valid, p_morphic_reduct_exists
 
 
 def describe(frame) -> str:
@@ -30,7 +25,6 @@ def main() -> int:
     args = parser.parse_args()
 
     frames = enumerate_rooted_posets(args.bound)
-    budget = Budget(max_worlds=8, max_vars=8)
     print(f"{len(frames)} rooted posets up to {args.bound} worlds\n")
     for k, frame in enumerate(frames):
         print(f"F{k}: {describe(frame)}")
@@ -42,7 +36,7 @@ def main() -> int:
     for gi, g in enumerate(frames):
         cells = []
         for f in frames:
-            valid = frame_valid(g, jankov_formula(f), budget)
+            valid = frame_valid(g, jankov_formula(f))
             reducible = p_morphic_reduct_exists(g, f)
             if valid == reducible:
                 mismatches += 1

@@ -8,7 +8,7 @@ import argparse
 from lukas.complete_sets import build_refutation, build_system, jankov_family
 from lukas.formulas import Mode, parse_formula, render
 from lukas.kernel import check_inference, render_proof_script
-from lukas.semantics import Budget, chain_frame, check_adequacy, tabular_oracle
+from lukas.semantics import chain_frame, check_adequacy, tabular_oracle
 
 
 def main() -> int:
@@ -20,10 +20,10 @@ def main() -> int:
     args = parser.parse_args()
 
     frame = chain_frame(args.chain)
-    oracle = tabular_oracle([frame], Budget(max_worlds=8, max_vars=8))
+    oracle = tabular_oracle([frame])
     family = jankov_family(args.bound)
     ds = build_system(oracle, family)
-    adequate = check_adequacy(frame, ds, Budget(max_worlds=8, max_vars=8))
+    adequate = check_adequacy(frame, ds)
     print(f"system over the {args.chain}-chain: "
           f"{len(ds.extra_positive)} extra axioms, "
           f"{len(ds.anti_axioms)} anti-axioms, adequate={adequate}")

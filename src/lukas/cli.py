@@ -32,7 +32,6 @@ from .complete_sets import (
 from .formulas import Mode, ModeError, ParseError, parse_formula, render
 from .kernel import asserts, check_inference, parse_proof_script, render_proof_script, system
 from .semantics import (
-    Budget,
     ResourceBoundError,
     frame_valid,
     model_validates,
@@ -103,7 +102,7 @@ def cmd_valid(args, out: _Output) -> int:
     else:
         frame = parse_frame_file(_read(args.frame), args.budget)
         formula = parse_formula(args.formula, frame.mode)
-        ok = frame_valid(frame, formula, Budget(args.budget, args.budget))
+        ok = frame_valid(frame, formula)
     out.verdict("VALID" if ok else "INVALID")
     return 0 if ok else 1
 
@@ -118,7 +117,7 @@ def cmd_axiomatize(args, out: _Output) -> int:
     if args.bound < 0:
         raise ValueError(f"--bound must be at least 0, got {args.bound}")
     frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
-    oracle = tabular_oracle(frames, Budget(max_worlds=args.budget, max_vars=8))
+    oracle = tabular_oracle(frames)
     family = jankov_family(args.bound)
     text = render_manifest(frames[0].mode, frames, args.bound, family, oracle)
     print(text, end="")
@@ -165,13 +164,11 @@ def cmd_transform(args, out: _Output) -> int:
     from .transforms import (SymmetryDefectError, TransformError, extract_positive,
                              require_all_positive, symmetry_transform)
 
+    if args.what == "extract" and args.frames is not None:
+        raise ValueError("transform extract takes no --frames: it consults no oracle")
     mode, inf = parse_proof_script(_read(args.proof))
     if args.system:
         ds, oracle, _family = manifest_context(parse_manifest(_read(args.system)))
-    elif args.frames:
-        frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
-        oracle = tabular_oracle(frames, Budget(max_worlds=args.budget, max_vars=8))
-        ds = system(mode)
     else:
         ds, oracle = system(mode), None
     if args.what == "extract":
@@ -183,7 +180,9 @@ def cmd_transform(args, out: _Output) -> int:
         out.verdict("EXTRACTED", payload=render_proof_script(mode, result))
         return 0
     if oracle is None:
-        raise ValueError("transform symmetry needs --system or --frames")
+        if not args.frames:
+            raise ValueError("transform symmetry needs --system or --frames")
+        oracle = tabular_oracle([parse_frame_file(_read(p), args.budget) for p in args.frames])
     require_all_positive(inf)
     report = check_inference(ds, inf)
     if not report.ok:
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lukas",
         description="proof and refutation calculi for intermediate logics and K4")
     parser.add_argument("--budget", type=int, default=8,
-                        help="world/variable budget for enumeration")
+                        help="the most worlds a frame file may have")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -54,7 +54,6 @@ from .kernel import (
 )
 from .semantics import (
     MAX_POSET_WORLDS,
-    Budget,
     Frame,
     KripkeModel,
     ResourceBoundError,
@@ -77,8 +76,9 @@ class RefutationPreconditionError(ValueError):
     """The formula to refute is derivable according to the oracle."""
 
 
-class TemplateUnavailableError(RuntimeError):
-    """The classical-system proof template could not be constructed."""
+class TemplateUnavailableError(ValueError):
+    """The classical-system proof template could not be constructed: a
+    prover defect."""
 
 
 # --- Jankov formulas ---------------------------------------------------------
@@ -233,7 +233,7 @@ def build_refutation(ds: DeductiveSystem,
         # the first rejected frame that refutes `a` anywhere refutes it at
         # its root: a generated subframe is smaller, so it comes earlier in
         # the family, and its Jankov formula is rejected too
-        model = falsifying_model(entry.frame, a, _ORACLE_BUDGET)
+        model = falsifying_model(entry.frame, a)
         if model is None or forces(model, root_of(entry.frame), a):
             continue
         builder = ProofBuilder()
@@ -258,8 +258,6 @@ def build_refutation(ds: DeductiveSystem,
 # --- the classical system ----------------------------------------------------
 
 _CPC_BOUND = 3
-#: Enumeration budget of the classical and the manifest oracles.
-_ORACLE_BUDGET = Budget(max_worlds=8, max_vars=8)
 
 
 @lru_cache(maxsize=1)
@@ -267,7 +265,7 @@ def cpc_context():
     """The classical-logic deductive system over the Jankov family, its
     one-point oracle, and the checker-verified stability template."""
     frame = point_frame()
-    oracle = tabular_oracle([frame], _ORACLE_BUDGET)
+    oracle = tabular_oracle([frame])
     family = jankov_family(_CPC_BOUND)
     ds = build_system(oracle, family)
     template = _stability_template(ds, family)
@@ -352,6 +350,10 @@ class Manifest(Record):
     marks: tuple[tuple[Sign, Formula], ...]
 
 
+#: The most worlds a manifest `frame` line may give.
+_MANIFEST_MAX_WORLDS = 8
+
+
 def _count(token: str, directive: str) -> int:
     if not token.isdecimal():
         raise ParseError(f"manifest directive {directive!r} needs a number, got {token!r}")
@@ -379,9 +381,9 @@ def parse_manifest(text: str) -> Manifest:
                 if mode is None:
                     raise ParseError("manifest must declare mode before frames")
                 n = _count(parts[1], "frame")
-                if n > _ORACLE_BUDGET.max_worlds:
+                if n > _MANIFEST_MAX_WORLDS:
                     raise ResourceBoundError(f"frame has {n} worlds, budget allows "
-                                             f"{_ORACLE_BUDGET.max_worlds}", line=number)
+                                             f"{_MANIFEST_MAX_WORLDS}", line=number)
                 pairs = []
                 for token in parts[2:]:
                     i, dash, j = token.partition("-")
@@ -415,7 +417,7 @@ def parse_manifest(text: str) -> Manifest:
 def manifest_context(manifest: Manifest):
     """Rebuild oracle, family, and system from a manifest, verifying that
     it marks exactly the family, each formula with its sign in the system."""
-    oracle = tabular_oracle(list(manifest.frames), _ORACLE_BUDGET)
+    oracle = tabular_oracle(list(manifest.frames))
     family = jankov_family(manifest.bound)
     ds = build_system(oracle, family, manifest.mode)
     signs = {**dict.fromkeys(ds.extra_positive, Sign.ASSERT),

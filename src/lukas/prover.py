@@ -36,7 +36,6 @@ from .formulas import (
     apply_substitution,
     check_mode,
     render,
-    variables,
 )
 from .kernel import (
     IPC_AXIOMS,
@@ -50,7 +49,7 @@ from .kernel import (
     system,
 )
 from .semantics import (
-    Budget,
+    MAX_POSET_WORLDS,
     KripkeModel,
     ResourceBoundError,
     falsifying_model,
@@ -377,7 +376,6 @@ class ProofResult(Record):
         return self.derivation is not None
 
 
-_COUNTERMODEL_BUDGET = Budget(max_worlds=5, max_vars=4)
 _INT = system(Mode.INT)
 
 
@@ -407,9 +405,9 @@ def countermodel_search(a: Formula) -> Optional[KripkeModel]:
     Sizes are built and tried one at a time, smallest first, so the search
     stops at the first size with a refuting frame."""
     check_mode(a, Mode.INT)
-    for n in range(1, _COUNTERMODEL_BUDGET.max_worlds + 1):
+    for n in range(1, MAX_POSET_WORLDS + 1):
         for frame in rooted_posets(n):
-            model = falsifying_model(frame, a, _COUNTERMODEL_BUDGET)
+            model = falsifying_model(frame, a)
             if model is not None:
                 return model
     return None
@@ -433,11 +431,10 @@ def prove_ipc(a: Formula) -> ProofResult:
     except ResourceBoundError as exc:
         raise ResourceBoundError(
             f"the sequent search refuted {render(a)}, but the countermodel search "
-            f"is budgeted to {_COUNTERMODEL_BUDGET.max_vars} variables and the "
-            f"formula has {len(variables(a))}") from exc
+            f"stopped: {exc.message}") from exc
     if model is None:
         raise ResourceBoundError(
             f"search refuted {render(a)} but no countermodel exists within "
-            f"{_COUNTERMODEL_BUDGET.max_worlds} worlds")
+            f"{MAX_POSET_WORLDS} worlds")
     return ProofResult(countermodel=model)
 

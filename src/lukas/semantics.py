@@ -32,7 +32,6 @@ from .formulas import (
     ParseError,
     Record,
     Var,
-    _init,
     check_mode,
     file_lines,
 )
@@ -40,25 +39,12 @@ from .kernel import DeductiveSystem, Sign, Statement
 
 
 class ResourceBoundError(Exception):
-    """The requested check exceeds the configured enumeration budget.  One
-    found while reading a file carries the 1-based `line`."""
+    """The requested check exceeds a size or work bound.  One found while
+    reading a file carries the 1-based `line`."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"{message} (at line {line})")
         self.message, self.line = message, line
-
-
-class Budget(Record):
-    """Hard limits for exhaustive valuation enumeration."""
-
-    __slots__ = ("max_worlds", "max_vars")
-
-    def __init__(self, max_worlds: int = 8, max_vars: int = 3):
-        _init(self, "max_worlds", max_worlds)
-        _init(self, "max_vars", max_vars)
-
-
-DEFAULT_BUDGET = Budget()
 
 
 class Frame(Record):
@@ -268,32 +254,42 @@ def _admissible_sets(frame: Frame) -> tuple[int, ...]:
     return tuple(out)
 
 
-def frame_valid(frame: Frame, a: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
+def frame_valid(frame: Frame, a: Formula) -> bool:
     """True iff `a` is forced at every world under every admissible valuation
-    of its variables.  Decided by exhaustive enumeration within `budget`."""
-    return falsifying_model(frame, a, budget) is None
+    of its variables.  Decided by exhaustive enumeration."""
+    return falsifying_model(frame, a) is None
 
 
-def falsifying_model(frame: Frame, a: Formula,
-                     budget: Budget = DEFAULT_BUDGET) -> Optional[KripkeModel]:
+#: The most lane steps, (world, valuation) lanes times program steps, that
+#: one `falsifying_model` call may evaluate.  Apart from the tests of this
+#: bound, the test suite needs at most 787,320 (30 steps over 4 variables
+#: on a 4-world poset with 9 upsets; the most lanes, 73,205, are 4
+#: variables on a 5-world poset with 11 upsets), the benchmark items at
+#: most 56,250.  Near the cap, on a 2-vCPU host, a valid formula took
+#: 0.16-0.33 s on the 8-world antichain, whose chunks hold 2,048 lanes, and
+#: 1.6-5 s on an 8-world poset with 25 upsets, whose chunks hold 200.
+_MAX_WORK = 10 ** 9
+
+
+def falsifying_model(frame: Frame, a: Formula) -> Optional[KripkeModel]:
     """A model on `frame` where `a` fails somewhere, or None if frame-valid:
     the first in `itertools.product` order over the admissible sets of the
     sorted variables.  The valuations are evaluated a chunk at a time, one
     block of lanes each: the last `inner` variables run through all their
-    values within a chunk, and the others are fixed in it."""
+    values within a chunk, and the others are fixed in it.  Work over
+    `_MAX_WORK` is a ResourceBoundError, raised before any is done."""
     check_mode(a, frame.mode)
     code, names = _program(a)
-    if frame.n > budget.max_worlds:
-        raise ResourceBoundError(
-            f"frame has {frame.n} worlds, budget allows {budget.max_worlds}")
-    if len(names) > budget.max_vars:
-        raise ResourceBoundError(
-            f"formula has {len(names)} variables, budget allows {budget.max_vars}")
     n = frame.n
     if n == 0:
         return None
     sets = _admissible_sets(frame)
     m = len(sets)
+    work = n * m ** len(names) * len(code)
+    if work > _MAX_WORK:
+        raise ResourceBoundError(
+            f"enumeration of {n} worlds x {m}^{len(names)} valuations x {len(code)} "
+            f"steps = {work:,} lane steps is over the enumeration budget of {_MAX_WORK:,}")
     inner = 0
     while inner < len(names) and m ** (inner + 1) * n <= _LANES:
         inner += 1
@@ -320,21 +316,18 @@ def falsifying_model(frame: Frame, a: Formula,
     return None
 
 
-def check_adequacy(frame: Frame,
-                   ds: DeductiveSystem,
-                   budget: Budget = DEFAULT_BUDGET) -> bool:
+def check_adequacy(frame: Frame, ds: DeductiveSystem) -> bool:
     """True iff every positive axiom of `ds` is valid and every anti-axiom
     invalid in the frame.  Rule soundness then extends this to every
     derivable statement."""
     if frame.mode is not ds.mode:
         raise ValueError("frame and system modes differ")
-    positive_ok = all(frame_valid(frame, a, budget) for a in ds.positive_axioms())
-    negative_ok = all(not frame_valid(frame, a, budget) for a in ds.anti_axioms)
+    positive_ok = all(frame_valid(frame, a) for a in ds.positive_axioms())
+    negative_ok = all(not frame_valid(frame, a) for a in ds.anti_axioms)
     return positive_ok and negative_ok
 
 
-def tabular_oracle(frames: Sequence[Frame],
-                   budget: Budget = DEFAULT_BUDGET) -> Callable[[Formula], bool]:
+def tabular_oracle(frames: Sequence[Frame]) -> Callable[[Formula], bool]:
     """Membership predicate of the logic of `frames`: true iff frame-valid on
     every listed frame."""
     if not frames:
@@ -344,7 +337,7 @@ def tabular_oracle(frames: Sequence[Frame],
         raise ValueError("tabular oracle frames must share a mode")
 
     def member(a: Formula) -> bool:
-        return all(frame_valid(f, a, budget) for f in frames)
+        return all(frame_valid(f, a) for f in frames)
 
     return member
 

@@ -42,7 +42,6 @@ from .kernel import (
 )
 from .prover import derive, derive_into
 from .semantics import (
-    Budget,
     KripkeModel,
     chain_frame,
     frame_from_pairs,
@@ -105,8 +104,7 @@ _FILTER_FRAMES = (_POINT, chain_frame(2), chain_frame(3),
 
 def _plausibly_valid(a: Formula) -> bool:
     """Cheap necessary conditions before running the decision procedure."""
-    budget = Budget(max_worlds=4, max_vars=max(3, len(variables(a))))
-    return all(frame_valid(f, a, budget) for f in _FILTER_FRAMES)
+    return all(frame_valid(f, a) for f in _FILTER_FRAMES)
 
 
 @lru_cache(maxsize=1)

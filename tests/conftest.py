@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lukas.formulas import BOT, And, Box, Implies, Or, Var
 from lukas.kernel import Sign
-from lukas.semantics import DEFAULT_BUDGET, frame_valid
+from lukas.semantics import frame_valid
 
 
 def formula_strategy(names=("p", "q", "r"), max_depth=4, modal=False):
@@ -31,10 +31,10 @@ def formula_strategy(names=("p", "q", "r"), max_depth=4, modal=False):
     return st.recursive(leaves, extend, max_leaves=2 ** max_depth)
 
 
-def frame_validates(frame, statement, budget=DEFAULT_BUDGET):
+def frame_validates(frame, statement):
     """Statement validity with the frame standing for its whole model class:
     assertions must be frame-valid, rejections must not be."""
-    valid = frame_valid(frame, statement.formula, budget)
+    valid = frame_valid(frame, statement.formula)
     return valid if statement.sign is Sign.ASSERT else not valid
 
 

@@ -23,7 +23,6 @@ from lukas.complete_sets import (
 from lukas.formulas import Mode, parse_formula, render
 from lukas.kernel import NS, RN, Sign, check_inference, rejects, render_proof_script, system
 from lukas.semantics import (
-    Budget,
     chain_frame,
     check_adequacy,
     enumerate_rooted_posets,
@@ -36,7 +35,6 @@ from lukas.semantics import (
 )
 from lukas.transforms import extract_positive, symmetry_transform
 
-WIDE = Budget(max_worlds=8, max_vars=8)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -56,7 +54,7 @@ def test_criterion_1_rule_soundness():
         report = check_inference(ds, inf)
         assert report.ok, str(report)
         for step in inf.steps:
-            if not frame_validates(frame, step.statement, WIDE):
+            if not frame_validates(frame, step.statement):
                 violations += 1
     elapsed = time.monotonic() - start
     _report("criterion 1 (rule soundness)",
@@ -103,8 +101,8 @@ def test_criterion_3_symmetry_intuitionistic():
     under 2 s per case."""
     family = jankov_family(3)
     configs = [
-        (tabular_oracle([point_frame()], WIDE),),
-        (tabular_oracle([chain_frame(3)], WIDE),),
+        (tabular_oracle([point_frame()]),),
+        (tabular_oracle([chain_frame(3)]),),
     ]
     start = time.monotonic()
     worst = 0.0
@@ -137,7 +135,7 @@ def test_criterion_3_symmetry_k4():
     """200 instances over the one-reflexive-point modal oracle with the
     necessitation case exercised; 100% checker-passing."""
     point = frame_from_pairs(Mode.K4, 1, [(0, 0)])
-    oracle = tabular_oracle([point], WIDE)
+    oracle = tabular_oracle([point])
     ds = system(Mode.K4)
     rng = random.Random(99)
     done = 0
@@ -174,7 +172,7 @@ def test_criterion_4_jankov_characterization():
     for f in frames:
         x = jankov_formula(f)
         for g in frames:
-            if frame_valid(g, x, WIDE) != (not p_morphic_reduct_exists(g, f)):
+            if frame_valid(g, x) != (not p_morphic_reduct_exists(g, f)):
                 mismatches += 1
     elapsed = time.monotonic() - start
     _report("criterion 4 (Jankov characterization)",
@@ -307,9 +305,9 @@ def test_criterion_7_adequacy_certification():
     start = time.monotonic()
     ok = True
     for frame in (point_frame(), chain_frame(2), chain_frame(3)):
-        oracle = tabular_oracle([frame], WIDE)
+        oracle = tabular_oracle([frame])
         ds = build_system(oracle, family)
-        ok = ok and check_adequacy(frame, ds, WIDE)
+        ok = ok and check_adequacy(frame, ds)
     elapsed = time.monotonic() - start
     _report("criterion 7 (adequacy certification)",
             ok and elapsed < 10, f"3 systems certified, {elapsed:.1f}s")

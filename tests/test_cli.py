@@ -156,6 +156,23 @@ def test_transform_extract(workdir, capsys):
     assert out.splitlines()[0] == "EXTRACTED"
 
 
+@pytest.mark.parametrize("frames", [["{dir}/w20.frame"], ["{dir}/missing.frame"], []],
+                         ids=["over-the-cap", "missing", "none"])
+def test_transform_extract_takes_no_frames(workdir, capsys, frames):
+    """Extraction consults no oracle, so no frame file is read for it."""
+    (workdir / "w20.frame").write_text("mode int\nworlds 20\n")
+    argv = (["transform", "extract", str(workdir / "ok.proof"), "--frames"]
+            + [f.format(dir=workdir) for f in frames])
+    message = "transform extract takes no --frames: it consults no oracle"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2}
+    code, out = run(capsys, "--budget", "0", "transform", "extract", str(workdir / "ok.proof"))
+    assert code == 0 and out.startswith("EXTRACTED\n")
+
+
 def test_transform_symmetry(workdir, capsys):
     (workdir / "positive.proof").write_text(
         "mode int\n"
@@ -174,6 +191,40 @@ def test_transform_symmetry(workdir, capsys):
     proof.write_text("\n".join(lines[1:]) + "\n")
     code, out = run(capsys, "check", str(proof))
     assert code == 0
+
+
+#: One input for each way `symmetry_transform` moves the rejection of the
+#: conclusion onto an underivable major: a one-world valuation that refutes
+#: the conclusion, the conclusion substituted into the minor, and into the
+#: major.  Each pins the refuted hypothesis and the output's sha256.
+SYMMETRY_STRATEGIES = [
+    (("(p | ~p) -> q", "p | ~p", "q"), 1,
+     "1afef3b23a2759a11c36fd8a30bf5e0591178449b7d90156edba703c38853a9f"),
+    (("(r | ~r) -> p | ~p", "r | ~r", "p | ~p"), 2,
+     "0d7cb8f6f10dd7837138f3dc98f3275501818531b898d88653d621463f9c9d2c"),
+    (("(p -> q) | (q -> p) -> p | ~p", "(p -> q) | (q -> p)", "p | ~p"), 1,
+     "35d48102f339566503e03d20bc40851449975066a439de95fce0d6a60e3dae21"),
+]
+
+
+@pytest.mark.parametrize("texts, index, digest", SYMMETRY_STRATEGIES,
+                         ids=["classical-major", "conclusion-into-minor",
+                              "conclusion-into-major"])
+def test_transform_symmetry_strategies(workdir, capsys, texts, index, digest):
+    import hashlib
+    from lukas.formulas import parse_formula, render
+    major, minor, conclusion = texts
+    (workdir / "mp.proof").write_text(
+        f"mode int\nhyp + {major}\nhyp + {minor}\n"
+        f"1 + {major} ; hyp\n2 + {minor} ; hyp\n3 + {conclusion} ; mp 1 2\n")
+    code, out = run(capsys, "transform", "symmetry", str(workdir / "mp.proof"),
+                    "--frames", str(workdir / "chain2.frame"))
+    assert code == 0
+    assert out.startswith(f"REFUTATION {index}\n# refutes hypothesis {index}\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    (workdir / "ref.proof").write_text(out.split("\n", 1)[1])
+    code, out = run(capsys, "check", str(workdir / "ref.proof"))
+    assert (code, out) == (0, f"OK - {render(parse_formula(texts[index - 1]))}\n")
 
 
 def test_transform_symmetry_checks_its_input(workdir, capsys):
@@ -217,6 +268,21 @@ def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and "REFUTED" not in captured.out
     assert captured.err == "error: refutation fails checking: ERR 2 axiom-not-in-system\n"
+
+
+def test_prove_cpc_reports_a_missing_template_as_an_error(capsys, monkeypatch):
+    """A prover defect while building the classical template exits 2, not 1."""
+    import lukas.prover
+    from lukas.complete_sets import cpc_context
+
+    monkeypatch.setattr(lukas.prover, "derive_into", lambda builder, a: None)
+    cpc_context.cache_clear()
+    message = "stability lemma is not intuitionistically derivable"
+    assert main(["prove-cpc", "p | ~p"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert main(["--format", "json", "prove-cpc", "p | ~p"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2}
 
 
 def test_axiomatize_rejects_a_negative_bound_before_reading_frames(workdir, capsys):
@@ -309,14 +375,82 @@ def test_json_errors_are_records(workdir, capsys, name, text, argv, stderr, reco
 
 
 def test_ipc_budget_exit_names_the_countermodel_budget(capsys):
-    message = ("the sequent search refuted p | q | r | s | t -> p, but the countermodel "
-               "search is budgeted to 4 variables and the formula has 5")
-    assert main(["ipc", "(p | q | r | s | t) -> p"]) == 3
+    """Valid on every poset of depth 2, so the smallest countermodel has
+    three worlds, where twelve variables are over the enumeration budget."""
+    formula = "q | (q -> p | ~p) | a & b & c & d & e & f & g & h & i & j"
+    message = (f"the sequent search refuted {formula}, but the countermodel search "
+               f"stopped: enumeration of 3 worlds x 5^12 valuations x 27 steps = "
+               f"19,775,390,625 lane steps is over the enumeration budget of 1,000,000,000")
+    assert main(["ipc", formula]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"resource bound: {message}\n"
     assert captured.out == ""
-    assert main(["--format", "json", "ipc", "(p | q | r | s | t) -> p"]) == 3
+    assert main(["--format", "json", "ipc", formula]) == 3
     assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3}
+
+
+@pytest.mark.parametrize("formula, worlds", [
+    ("(p | q | r | s | t) -> p", 1),
+    ("((p -> q) -> p) -> p | q & r & s & t", 2),
+    ("q | (q -> p | ~p) | a & b & c & d & e & f", 3),
+])
+def test_ipc_countermodels_of_many_variables(capsys, formula, worlds):
+    from lukas.formulas import parse_formula
+    from lukas.semantics import model_validates, parse_model_file
+    code, out = run(capsys, "ipc", formula)
+    assert code == 1 and out.startswith("COUNTERMODEL\n")
+    model = parse_model_file(out.split("\n", 1)[1])
+    assert model.frame.n == worlds
+    assert model_validates(model, rejects(parse_formula(formula)))
+
+
+def test_nine_variables_on_one_world_give_verdicts(workdir, capsys):
+    (workdir / "point.frame").write_text("mode int\nworlds 1\n")
+    code, out = run(capsys, "valid", "--frame", str(workdir / "point.frame"),
+                    "a | b | c | d | e | f | g | h | i | ~a")
+    assert (code, out) == (0, "VALID\n")
+    formula = "a & b & c & d & e & f & g & h & i"
+    code, out = run(capsys, "refute", "--system", str(CORPUS / "cpc.ds"), formula)
+    assert code == 0 and out.startswith("REFUTED\n")
+    (workdir / "nine.proof").write_text(out.split("\n", 1)[1])
+    code, out = run(capsys, "check", str(workdir / "nine.proof"), "--system",
+                    str(CORPUS / "cpc.ds"))
+    assert (code, out) == (0, f"OK - {formula}\n")
+
+
+#: Inputs whose enumerations would run for hours: the manifest of the
+#: 8-world antichain at bound 4, and four variables on that antichain.
+RUNAWAY = [
+    ("m8.ds", "mode int\nbound 4\nframe 8\n",
+     ["check", "{dir}/ok.proof", "--system", "{path}"], "8 worlds x 256^3 valuations x 19 steps "
+     "= 2,550,136,832"),
+    ("anti8.frame", "mode int\nworlds 8\n",
+     ["valid", "--frame", "{path}", "(a & b & c & d) -> a"], "8 worlds x 256^4 valuations x 8 "
+     "steps = 274,877,906,944"),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, work", RUNAWAY, ids=["m8-check", "anti8-valid"])
+def test_runaway_enumerations_exit_3_naming_the_budget(workdir, capsys, name, text, argv, work):
+    import time
+    path = workdir / name
+    path.write_text(text)
+    argv = [a.format(path=path, dir=workdir) for a in argv]
+    message = (f"enumeration of {work} lane steps is over the enumeration budget "
+               f"of 1,000,000,000")
+    start = time.perf_counter()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"resource bound: {message}\n")
+    assert main(["--format", "json"] + argv) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3}
+    assert time.perf_counter() - start < 5
+
+
+def test_three_variables_on_the_antichain_stay_valid(workdir, capsys):
+    (workdir / "anti8.frame").write_text("mode int\nworlds 8\n")
+    code, out = run(capsys, "valid", "--frame", str(workdir / "anti8.frame"), "(a & b & c) -> a")
+    assert (code, out) == (0, "VALID\n")
 
 
 def test_hypothesis_without_formula_is_a_parse_error(workdir, capsys):

@@ -42,7 +42,6 @@ from lukas.kernel import (
 )
 from lukas.prover import derive_into
 from lukas.semantics import (
-    Budget,
     KripkeModel,
     chain_frame,
     check_adequacy,
@@ -58,20 +57,19 @@ from lukas.semantics import (
 )
 from lukas.transforms import symmetry_transform
 
-WIDE = Budget(max_worlds=8, max_vars=8)
 
 
 def test_jankov_one_point_is_never_valid():
     x = jankov_formula(point_frame())
     for g in enumerate_rooted_posets(4):
-        assert not frame_valid(g, x, WIDE)
+        assert not frame_valid(g, x)
         assert p_morphic_reduct_exists(g, point_frame())
 
 
 def test_jankov_two_chain_instances():
     x = jankov_formula(chain_frame(2))
-    assert frame_valid(point_frame(), x, WIDE)
-    assert not frame_valid(chain_frame(2), x, WIDE)
+    assert frame_valid(point_frame(), x)
+    assert not frame_valid(chain_frame(2), x)
 
 
 def test_jankov_characterization_up_to_three_worlds():
@@ -79,7 +77,7 @@ def test_jankov_characterization_up_to_three_worlds():
     for f in frames:
         x = jankov_formula(f)
         for g in frames:
-            assert frame_valid(g, x, WIDE) == (not p_morphic_reduct_exists(g, f)), \
+            assert frame_valid(g, x) == (not p_morphic_reduct_exists(g, f)), \
                 (f.rel, g.rel)
 
 
@@ -104,21 +102,21 @@ def test_family_is_deterministic_and_duplicate_free():
 
 def test_build_system_cpc_and_two_chain_adequacy():
     family = jankov_family(3)
-    cpc_oracle = tabular_oracle([point_frame()], WIDE)
+    cpc_oracle = tabular_oracle([point_frame()])
     cpc = build_system(cpc_oracle, family)
-    assert check_adequacy(point_frame(), cpc, WIDE)
+    assert check_adequacy(point_frame(), cpc)
     # the one-point frame reduces onto itself only, so exactly its Jankov
     # formula lands negative
     assert len(cpc.anti_axioms) == 1
 
-    chain_oracle = tabular_oracle([chain_frame(2)], WIDE)
+    chain_oracle = tabular_oracle([chain_frame(2)])
     two = build_system(chain_oracle, family)
-    assert check_adequacy(chain_frame(2), two, WIDE)
+    assert check_adequacy(chain_frame(2), two)
     assert len(two.anti_axioms) == 2
 
 
 def test_build_system_empty_family():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     ds = build_system(oracle, ())
     assert ds == system(Mode.INT)
 
@@ -131,7 +129,7 @@ def test_refutation_precondition_guard(cpc):
 
 def test_refutation_over_intuitionistic_oracle():
     frames = enumerate_rooted_posets(4)
-    oracle = tabular_oracle(frames, WIDE)
+    oracle = tabular_oracle(frames)
     family = jankov_family(3)
     ds = build_system(oracle, family)
     inf = build_refutation(ds, parse_formula("p | ~p"), oracle, family)
@@ -156,7 +154,7 @@ def test_jankov_lemma_holds_without_the_search():
             if forces(model, root_of(g), a):
                 continue
             lemma = Implies(apply_substitution(jankov_substitution(model), a), jankov)
-            assert all(frame_valid(h, lemma, WIDE) for h in frames), render(lemma)
+            assert all(frame_valid(h, lemma) for h in frames), render(lemma)
             checked += 1
     assert checked >= 40
 
@@ -169,7 +167,7 @@ def _refute_by_transform(ds, a, oracle, family):
     for entry in family:
         if oracle(entry.formula) or not ds.is_anti_axiom(entry.formula):
             continue
-        model = falsifying_model(entry.frame, a, WIDE)
+        model = falsifying_model(entry.frame, a)
         if model is None or forces(model, root_of(entry.frame), a):
             continue
         sigma = jankov_substitution(model)
@@ -193,7 +191,7 @@ def test_refutation_fails_exactly_when_no_rejected_frame_refutes():
     refutation exactly when no frame of the family with a rejected Jankov
     formula refutes `a`; two of these twenty tautologies need the diamond
     itself."""
-    oracle = tabular_oracle([DIAMOND], WIDE)
+    oracle = tabular_oracle([DIAMOND])
     family = jankov_family(3)
     ds = build_system(oracle, family)
     rng = random.Random(11)
@@ -202,7 +200,7 @@ def test_refutation_fails_exactly_when_no_rejected_frame_refutes():
         f = random_formula(rng, ("p", "q", "r"), depth=4)
         if not tautology(f) or oracle(f):
             continue
-        witnessed = any(ds.is_anti_axiom(e.formula) and falsifying_model(e.frame, f, WIDE)
+        witnessed = any(ds.is_anti_axiom(e.formula) and falsifying_model(e.frame, f)
                         for e in family)
         try:
             inf = build_refutation(ds, f, oracle, family)
@@ -287,7 +285,7 @@ def test_refutation_reports_a_lemma_that_does_not_prove():
     """A family entry whose formula is not its frame's Jankov formula: the
     lemma x0 -> ~x0 is no theorem, and that is an error, not "not found"."""
     entry = FamilyEntry(point_frame(), parse_formula("~x0"))
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     ds = build_system(oracle, [entry])
     with pytest.raises(ValueError, match=r"^Jankov lemma x0 -> ~x0 did not prove; "):
         build_refutation(ds, parse_formula("p"), oracle, [entry])
@@ -296,7 +294,7 @@ def test_refutation_reports_a_lemma_that_does_not_prove():
 def test_refutation_k4_with_supplied_family():
     # the modal instantiation works over user-supplied box-free families
     point = frame_from_pairs(Mode.K4, 1, [(0, 0)])
-    oracle = tabular_oracle([point], WIDE)
+    oracle = tabular_oracle([point])
     entry = FamilyEntry(point, parse_formula("~~x0", Mode.K4))
     ds = build_system(oracle, [entry], Mode.K4)
     assert not oracle(entry.formula)
@@ -309,7 +307,7 @@ def test_refutation_k4_with_supplied_family():
 
 def test_manifest_round_trip():
     frames = [chain_frame(2)]
-    oracle = tabular_oracle(frames, WIDE)
+    oracle = tabular_oracle(frames)
     family = jankov_family(3)
     text = render_manifest(Mode.INT, frames, 3, family, oracle)
     manifest = parse_manifest(text)
@@ -323,7 +321,7 @@ def test_manifest_round_trip():
 
 def test_manifest_rejects_tampered_signs():
     frames = [chain_frame(2)]
-    oracle = tabular_oracle(frames, WIDE)
+    oracle = tabular_oracle(frames)
     family = jankov_family(2)
     text = render_manifest(Mode.INT, frames, 2, family, oracle)
     flipped = text.replace("\n- ", "\n+ ", 1)
@@ -334,7 +332,7 @@ def test_manifest_rejects_tampered_signs():
 def point_manifest(bound: int) -> str:
     frames = [point_frame()]
     return render_manifest(Mode.INT, frames, bound, jankov_family(bound),
-                           tabular_oracle(frames, WIDE))
+                           tabular_oracle(frames))
 
 
 def respell(text: str) -> str:

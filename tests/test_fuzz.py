@@ -97,6 +97,11 @@ def test_mutated_inputs_reach_a_verdict_or_a_named_error(tmp_path, capsys):
             ["valid", "--model", "{path}", "~~p -> p"])]
         + [("manifest", text, ["check", str(corpus_script), "--system", "{path}"])
            for text in (system.read_text(), cpc, respelled)]
+        # enumerations over the enumeration budget: the 8-world antichain's
+        # manifest at bound 4, and four variables on that antichain
+        + [("manifest", "mode int\nbound 4\nframe 8\n",
+            ["check", str(corpus_script), "--system", "{path}"])]
+        + [("frame", "mode int\nworlds 8\n", ["valid", "--frame", "{path}", "(a & b & c & d) -> a"])]
     )
     rng = random.Random(20141)
     codes = set()

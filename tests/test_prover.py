@@ -12,7 +12,6 @@ from lukas.prover import (
 )
 from lukas import semantics
 from lukas.semantics import (
-    Budget,
     enumerate_rooted_posets,
     falsifying_model,
     frame_valid,
@@ -107,11 +106,10 @@ def test_known_minimal_countermodel_shape():
 
 def test_fmp_agreement_on_small_corpus():
     frames = enumerate_rooted_posets(4)
-    wide = Budget(max_worlds=8, max_vars=8)
     corpus = [parse_formula(t) for t in THEOREMS[:12] + CLASSICAL_ONLY]
     for f in corpus:
         if derive(f) is not None:
-            assert all(frame_valid(g, f, wide) for g in frames), render(f)
+            assert all(frame_valid(g, f) for g in frames), render(f)
 
 
 def test_countermodel_search_is_sound():
@@ -141,7 +139,7 @@ def _full_walk(a):
     """The search before sizes were built one at a time: every rooted poset
     of up to five worlds, in enumeration order, built up front."""
     for frame in enumerate_rooted_posets(5):
-        model = falsifying_model(frame, a, Budget(max_worlds=5, max_vars=4))
+        model = falsifying_model(frame, a)
         if model is not None:
             return model
     return None

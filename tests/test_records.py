@@ -30,7 +30,7 @@ from lukas.kernel import (
     rejects,
 )
 from lukas.prover import ProofResult, TmApp, TmConst, TmLam, TmVar
-from lukas.semantics import Budget, KripkeModel, chain_frame
+from lukas.semantics import KripkeModel, chain_frame
 
 p, q = Var("p"), Var("q")
 CHAIN = chain_frame(2)
@@ -49,7 +49,6 @@ SAMPLES = [
     CheckReport(False, step=2, reason="formula-mismatch"),
     HYP, K, APP, TmLam(Implies(p, Implies(q, p)), frozenset(), "h1", p, APP),
     ProofResult(derivation=INFERENCE),
-    Budget(4, 2),
     CHAIN,
     KripkeModel.of(CHAIN, {"p": 0b10}),
     FamilyEntry(CHAIN, jankov_formula(CHAIN)),
@@ -94,14 +93,14 @@ def test_records_of_two_classes_or_two_values_differ():
     assert Step(asserts(p), Axiom()) != Step(asserts(p), Hypothesis())
     assert asserts(p) != rejects(p) and asserts(p) != asserts(q)
     assert asserts(p) != (Sign.ASSERT, p)
-    assert MP(1, 2) != MP(2, 1) and Budget() != Budget(8, 4)
-    assert Budget() == Budget(max_worlds=8, max_vars=3)
+    assert MP(1, 2) != MP(2, 1) and ProofResult() != ProofResult(INFERENCE)
+    assert ProofResult() == ProofResult(derivation=None, countermodel=None)
 
 
 def test_a_record_prints_its_fields():
     assert repr(MP(1, 2)) == "MP(major=1, minor=2)"
     assert repr(Sb(3, (("p", q),))) == "Sb(source=3, mapping=(('p', Var(name='q')),))"
-    assert repr(Budget(4, 2)) == "Budget(max_worlds=4, max_vars=2)"
+    assert repr(ProofResult()) == "ProofResult(derivation=None, countermodel=None)"
     assert repr(Axiom()) == "Axiom()"
 
 

@@ -23,7 +23,6 @@ from lukas.formulas import (
 from lukas import semantics
 from lukas.kernel import asserts, rejects, system
 from lukas.semantics import (
-    Budget,
     KripkeModel,
     ResourceBoundError,
     chain_frame,
@@ -43,8 +42,6 @@ from lukas.semantics import (
     tabular_oracle,
     truth_mask,
 )
-
-WIDE = Budget(max_worlds=8, max_vars=8)
 
 
 def brute_forces(model, w, f):
@@ -123,10 +120,22 @@ def test_frame_valid_examples():
         parse_formula("(p -> q) | (q -> p)"))
 
 
-def test_frame_valid_budget():
-    with pytest.raises(ResourceBoundError):
-        frame_valid(chain_frame(2), parse_formula("(p & q & r) -> s"))
-    frame_valid(chain_frame(2), parse_formula("(p & q & r) -> s"), WIDE)
+def test_frame_valid_budget(monkeypatch):
+    """Enumeration is bounded by its work, worlds x valuations x program
+    steps, not by the number of variables or worlds."""
+    assert not frame_valid(chain_frame(2), parse_formula("(p & q & r) -> s"))
+    assert frame_valid(point_frame(), parse_formula("a | b | c | d | e | f | g | h | i | ~a"))
+    with pytest.raises(ResourceBoundError) as caught:
+        frame_valid(frame_from_pairs(Mode.INT, 8, []), parse_formula("(a & b & c & d) -> a"))
+    assert str(caught.value) == (
+        "enumeration of 8 worlds x 256^4 valuations x 8 steps = 274,877,906,944 "
+        "lane steps is over the enumeration budget of 1,000,000,000")
+    # `p | q` on the 2-chain is 2 worlds x 3^2 valuations x 3 steps = 54
+    monkeypatch.setattr(semantics, "_MAX_WORK", 54)
+    assert not frame_valid(chain_frame(2), parse_formula("p | q"))
+    monkeypatch.setattr(semantics, "_MAX_WORK", 53)
+    with pytest.raises(ResourceBoundError, match=r"= 54 lane steps is over .* of 53$"):
+        frame_valid(chain_frame(2), parse_formula("p | q"))
 
 
 def test_frame_valid_agrees_with_brute_force():
@@ -143,7 +152,7 @@ def test_frame_valid_agrees_with_brute_force():
                 all(brute_forces(KripkeModel.of(frame, dict(zip(names, choice))), w, f)
                     for w in range(frame.n))
                 for choice in itertools.product(sets, repeat=len(names)))
-            assert frame_valid(frame, f, WIDE) == expected
+            assert frame_valid(frame, f) == expected
 
 
 def admissible_sets(frame):
@@ -179,7 +188,7 @@ def test_falsifying_model_matches_the_one_valuation_enumerator():
     formulas = [parse_formula(t) for t in INT_TEXTS]
     for frame in frames:
         for f in formulas:
-            assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f)
+            assert falsifying_model(frame, f) == reference_falsifying_model(frame, f)
 
 
 def test_falsifying_model_matches_across_chunks():
@@ -189,7 +198,7 @@ def test_falsifying_model_matches_across_chunks():
     for text in ["(p & q & r) -> s", "s -> p", "(p -> q) | (q -> r) | (r -> s)",
                  "(p & q & r & s) -> (s | p)", "~~s -> s", "((p -> q) -> r) -> s | ~s"]:
         f = parse_formula(text)
-        assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f), text
+        assert falsifying_model(frame, f) == reference_falsifying_model(frame, f), text
 
 
 def k4_frames():
@@ -204,7 +213,7 @@ def test_falsifying_model_matches_on_k4_frames():
     formulas = [parse_formula(t, Mode.K4) for t in K4_TEXTS]
     for frame in k4_frames():
         for f in formulas:
-            assert falsifying_model(frame, f, WIDE) == reference_falsifying_model(frame, f)
+            assert falsifying_model(frame, f) == reference_falsifying_model(frame, f)
 
 
 def test_truth_mask_agrees_with_brute_force_on_k4_frames():
@@ -223,7 +232,7 @@ def test_zero_world_frames_validate_everything():
         frame = frame_from_pairs(mode, 0, [])
         for text in texts:
             f = parse_formula(text, mode)
-            assert falsifying_model(frame, f, WIDE) is None
+            assert falsifying_model(frame, f) is None
             assert reference_falsifying_model(frame, f) is None
 
 
@@ -268,9 +277,9 @@ def test_rule_soundness_fuzz():
                 refs = [just.source]
             if not refs:
                 continue
-            if all(frame_validates(frame, inf.steps[r - 1].statement, WIDE)
+            if all(frame_validates(frame, inf.steps[r - 1].statement)
                    for r in refs):
-                assert frame_validates(frame, step.statement, WIDE), str(step.statement)
+                assert frame_validates(frame, step.statement), str(step.statement)
             if isinstance(just, (MP, MT, NS, RN)) and \
                     all(model_validates(m, inf.steps[r - 1].statement) for r in refs):
                 assert model_validates(m, step.statement), str(step.statement)
@@ -286,7 +295,7 @@ def test_check_adequacy_examples():
 
 
 def test_tabular_oracle_cpc_matches_truth_tables():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     rng = random.Random(2)
     from generators import random_formula, tautology
     for _ in range(200):
@@ -296,7 +305,7 @@ def test_tabular_oracle_cpc_matches_truth_tables():
 
 
 def test_tabular_oracle_two_chain():
-    oracle = tabular_oracle([chain_frame(2)], WIDE)
+    oracle = tabular_oracle([chain_frame(2)])
     assert not oracle(parse_formula("~~p -> p"))
     assert oracle(parse_formula("~p | ~~p"))
     assert oracle(parse_formula("p -> p"))

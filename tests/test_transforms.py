@@ -23,7 +23,6 @@ from lukas.kernel import (
 )
 from lukas.prover import derive_into
 from lukas.semantics import (
-    Budget,
     chain_frame,
     check_adequacy,
     point_frame,
@@ -37,7 +36,6 @@ from lukas.transforms import (
 )
 
 INT = system(Mode.INT)
-WIDE = Budget(max_worlds=8, max_vars=8)
 
 
 def test_extract_positive_identity_on_all_positive():
@@ -140,7 +138,7 @@ def test_prover_inference_pipeline():
 
 
 def test_symmetry_basis_case():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     b = parse_formula("p & q")
     inf = Inference((asserts(b),), (Step(asserts(b), Hypothesis()),))
     index, ref = symmetry_transform(inf, oracle)
@@ -151,7 +149,7 @@ def test_symmetry_basis_case():
 
 
 def test_symmetry_smallest_index_on_ties():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     b = Var("p")
     inf = Inference(
         (asserts(Var("q")), asserts(b), asserts(b)),
@@ -162,7 +160,7 @@ def test_symmetry_smallest_index_on_ties():
 
 
 def test_symmetry_rejects_derivable_conclusion():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     inf = Inference((), (Step(asserts(parse_formula("p -> (q -> p)")), Axiom()),))
     with pytest.raises(OracleInconsistencyError):
         symmetry_transform(inf, oracle)
@@ -170,7 +168,7 @@ def test_symmetry_rejects_derivable_conclusion():
 
 def test_symmetry_substitution_pipeline_example():
     frames = [chain_frame(2)]
-    oracle = tabular_oracle(frames, WIDE)
+    oracle = tabular_oracle(frames)
     hyp = parse_formula("~~p -> p")
     goal = parse_formula("q | ~q")
     positive = _from_hypothesis(hyp, {"p": goal}, goal)
@@ -183,7 +181,7 @@ def test_symmetry_substitution_pipeline_example():
 
 
 def test_symmetry_modus_ponens_both_subcases():
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     p, q = Var("p"), Var("q")
     # underivable major: hypothesis p -> q
     inf = Inference(
@@ -215,7 +213,7 @@ def test_symmetry_modus_ponens_both_subcases():
 
 
 def test_symmetry_size_bound():
-    ds, oracle = INT, tabular_oracle([point_frame()], WIDE)
+    ds, oracle = INT, tabular_oracle([point_frame()])
     rng = random.Random(77)
     done = 0
     while done < 40:
@@ -234,9 +232,9 @@ def test_symmetry_size_bound():
 def test_symmetry_output_respects_adequate_frames():
     family = jankov_family(3)
     frame = chain_frame(2)
-    oracle = tabular_oracle([frame], WIDE)
+    oracle = tabular_oracle([frame])
     ds = build_system(oracle, family)
-    assert check_adequacy(frame, ds, WIDE)
+    assert check_adequacy(frame, ds)
     rng = random.Random(123)
     done = 0
     while done < 25:
@@ -248,13 +246,13 @@ def test_symmetry_output_respects_adequate_frames():
         assert check_inference(ds, ref).ok
         # structure-level validity: a frame adequate for the system that
         # validates the hypotheses validates every step
-        if all(frame_validates(frame, h, WIDE) for h in ref.hypotheses):
+        if all(frame_validates(frame, h) for h in ref.hypotheses):
             for step in ref.steps:
-                assert frame_validates(frame, step.statement, WIDE)
+                assert frame_validates(frame, step.statement)
 
 
 def test_symmetry_requires_all_positive_input():
     inf = Inference((rejects(Var("p")),), (Step(rejects(Var("p")), Hypothesis()),))
-    oracle = tabular_oracle([point_frame()], WIDE)
+    oracle = tabular_oracle([point_frame()])
     with pytest.raises(TransformError):
         symmetry_transform(inf, oracle)
