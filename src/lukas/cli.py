@@ -22,7 +22,6 @@ from .complete_sets import (
     SearchExhaustedError,
     build_positive_cpc,
     build_refutation,
-    cpc_context,
     jankov_family,
     jankov_formula,
     manifest_context,
@@ -138,11 +137,11 @@ def cmd_refute(args, out: _Output) -> int:
 
 def cmd_prove_cpc(args, out: _Output) -> int:
     formula = parse_formula(args.formula, Mode.INT)
-    _ds, oracle, _family, _frame, _template = cpc_context()
-    if not oracle(formula):
+    try:
+        inf = build_positive_cpc(formula)
+    except RefutationPreconditionError:
         out.verdict("NOT-VALID")
         return 1
-    inf = build_positive_cpc(formula)
     out.verdict("PROVED", payload=render_proof_script(Mode.INT, inf))
     return 0
 

@@ -382,14 +382,21 @@ _INT = system(Mode.INT)
 def derive_into(builder: ProofBuilder, a: Formula) -> Optional[int]:
     """Elaborate the search's proof of +a into `builder`, whose steps keep
     their indices, and return the index of +a; None, adding nothing, when
-    the search refutes `a`."""
+    the search refutes `a`.  Running out of stack in either layer is a
+    ResourceBoundError that names the layer."""
     check_mode(a, Mode.INT)
-    term = _Search(_FUEL).prove([], a)
+    try:
+        term = _Search(_FUEL).prove([], a)
+    except RecursionError:
+        raise ResourceBoundError("the sequent search exceeds the recursion limit") from None
     if term is None:
         return None
-    closed = _eliminate_lambdas(term)
-    assert not closed.free, "proof term has free variables"
-    return _load_term(builder, closed)
+    try:
+        closed = _eliminate_lambdas(term)
+        assert not closed.free, "proof term has free variables"
+        return _load_term(builder, closed)
+    except RecursionError:
+        raise ResourceBoundError("elaborating the proof term exceeds the recursion limit") from None
 
 
 def derive(a: Formula) -> Optional[Inference]:

@@ -1,6 +1,6 @@
 """Finite Kripke frames and models: forcing, statement validity, frame
 validity by exhaustive valuation enumeration, adequacy checks, tabular
-membership oracles, rooted-poset enumeration, and p-morphic reducibility.
+membership oracles, rooted posets grown point by point, and p-morphisms.
 
 Sets of worlds are bitmasks throughout.  A formula is evaluated bottom-up
 over the bits of one int, a lane per (valuation, world) pair, so frame
@@ -34,6 +34,7 @@ from .formulas import (
     Var,
     check_mode,
     file_lines,
+    is_variable_name,
 )
 from .kernel import DeductiveSystem, Sign, Statement
 
@@ -359,58 +360,30 @@ def _canonical_key(n: int, rel: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def _posets_on(n: int) -> list[tuple[int, ...]]:
-    """All partial orders on n labeled points, one representative per
-    isomorphism class, as reflexive bitmask rows."""
-    if n == 0:
-        return [()]
-    diagonal = [1 << i for i in range(n)]
-    off_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for picks in itertools.product((False, True), repeat=len(off_pairs)):
-        rel = list(diagonal)
-        for (i, j), picked in zip(off_pairs, picks):
-            if picked:
-                rel[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            if not ok:
-                break
-            for j in _bits(rel[i]):
-                if rel[j] & ~rel[i] or (j != i and rel[j] & (1 << i)):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        key = _canonical_key(n, rel)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    out.sort()
-    return out
-
-
 MAX_POSET_WORLDS = 5        # the largest posets `rooted_posets` makes
 
 
 @lru_cache(maxsize=None)
 def rooted_posets(n: int) -> tuple[Frame, ...]:
     """All rooted posets with exactly n points, one per isomorphism class,
-    in canonical-form order.  Cached per size, so a caller that stops at a
-    small size never builds the larger ones."""
+    in canonical-form order: those of size n - 1, each with a new maximal
+    point above each nonempty down-set, since deleting a maximal non-root
+    point leaves a rooted poset.  Cached per size, so a caller that stops
+    at a small size never builds the larger ones."""
     if n > MAX_POSET_WORLDS:
         raise ResourceBoundError(f"rooted poset enumeration is budgeted to {MAX_POSET_WORLDS} worlds")
     if n < 1:
         return ()
-    frames = []
-    for inner in _posets_on(n - 1):
-        rel = [(1 << n) - 1]          # fresh root sees everything
-        for row in inner:
-            rel.append(row << 1)      # shift the old points past the root
-        frames.append(Frame(Mode.INT, n, _canonical_key(n, rel)))
-    frames.sort(key=lambda f: f.rel)
-    return tuple(frames)
+    if n == 1:
+        return (Frame(Mode.INT, 1, (1,)),)
+    top = 1 << (n - 1)
+    keys = set()
+    for frame in rooted_posets(n - 1):
+        for down in range(1, top):     # down-closed: no world outside sees into it
+            if not any(frame.rel[w] & down for w in _bits(~down & (top - 1))):
+                rows = [row | top if down >> w & 1 else row for w, row in enumerate(frame.rel)]
+                keys.add(_canonical_key(n, rows + [top]))
+    return tuple(Frame(Mode.INT, n, key) for key in sorted(keys))
 
 
 @lru_cache(maxsize=None)
@@ -514,6 +487,8 @@ def _parse_frame_lines(text: str,
             elif parts[0] == "val":
                 if len(parts) < 2:
                     raise ParseError("val line must be 'val <var> <worlds...>'")
+                if not is_variable_name(parts[1]):
+                    raise ParseError(f"bad variable name {parts[1]!r}")
                 for tok in parts[2:]:
                     if not tok.isdecimal():
                         raise ParseError(f"bad world index {tok!r}")

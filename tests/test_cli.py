@@ -285,6 +285,51 @@ def test_prove_cpc_reports_a_missing_template_as_an_error(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_prove_cpc_asks_the_classical_oracle_once(capsys, monkeypatch, fmt):
+    """The classical system has one frame, so one oracle call is one
+    `frame_valid` call, whether the formula proves or not."""
+    import lukas.semantics
+    from lukas.complete_sets import cpc_context
+
+    cpc_context()
+    calls = []
+    frame_valid = lukas.semantics.frame_valid
+    monkeypatch.setattr(lukas.semantics, "frame_valid",
+                        lambda frame, a: calls.append(a) or frame_valid(frame, a))
+    for formula, code, verdict in (("p | ~p", 0, "PROVED"), ("p -> q", 1, "NOT-VALID")):
+        calls.clear()
+        assert main(["--format", fmt, "prove-cpc", formula]) == code
+        out = capsys.readouterr().out
+        assert (json.loads(out)["verdict"] if fmt == "json" else out.split("\n")[0]) == verdict
+        assert len(calls) == 1, formula
+
+
+@pytest.mark.parametrize("name", ["(", "P-Q", "bot", "0"])
+def test_a_val_line_needs_a_variable_name(workdir, capsys, name):
+    path = workdir / "named.kripke"
+    path.write_text(f"mode int\nworlds 2\nrel 0 1\nval {name} 0\n")
+    message = f"bad variable name {name!r}"
+    assert main(["valid", "--model", str(path), "p"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message} (at line 4)\n")
+    assert main(["--format", "json", "valid", "--model", str(path), "p"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2, "line": 4}
+
+
+@pytest.mark.parametrize("negations, layer", [
+    (400, "elaborating the proof term"), (600, "the sequent search"),
+], ids=["elaboration", "search"])
+def test_ipc_names_the_layer_that_runs_out_of_stack(capsys, negations, layer):
+    """`A -> A` for A a tower of negations of p: the parser reads it, and
+    the prover's own recursion is what runs out."""
+    a = "~" * negations + "p"
+    message = f"{layer} exceeds the recursion limit"
+    assert main(["ipc", f"{a} -> {a}"]) == 3
+    assert capsys.readouterr() == ("", f"resource bound: {message}\n")
+    assert main(["--format", "json", "ipc", f"{a} -> {a}"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3}
+
+
 def test_axiomatize_rejects_a_negative_bound_before_reading_frames(workdir, capsys):
     argv = ["axiomatize", "--frames", str(workdir / "missing.frame"), "--bound", "-1"]
     assert main(argv) == 2

@@ -95,6 +95,8 @@ def test_mutated_inputs_reach_a_verdict_or_a_named_error(tmp_path, capsys):
         + [("frame", "mode int\nworlds 2\nrel 0 1\n", ["jankov", "--frame", "{path}"])]
         + [("model", _emitted(capsys, "ipc", "~~p -> p"),
             ["valid", "--model", "{path}", "~~p -> p"])]
+        + [("model", "mode int\nworlds 3\nrel 0 1\nrel 0 2\nval p 1\nval q 2 1\n",
+            ["valid", "--model", "{path}", "p | q -> q"])]
         + [("manifest", text, ["check", str(corpus_script), "--system", "{path}"])
            for text in (system.read_text(), cpc, respelled)]
         # enumerations over the enumeration budget: the 8-world antichain's

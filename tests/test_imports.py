@@ -1,7 +1,8 @@
 """Every name a `lukas` module imports is used in that module, and every
-private module-level name is read somewhere in the package.  No linter
-ships with the package, so this stands in for unused-import and dead-code
-checks.  And a command loads only the modules it needs."""
+module-level name is read somewhere in the package, apart from two public
+references that only the tests read.  No linter ships with the package, so
+this stands in for unused-import and dead-code checks.  And a command loads
+only the modules it needs."""
 
 import ast
 import os
@@ -39,10 +40,10 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["Hypothesis (line 1)", "Step (line 1)", "json (line 2)"]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private names (`_x`, not `__x__`) that a module of `sources`
-    binds at its top level and that no module reads, imports or takes as
-    an attribute, each as `module:name`."""
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """The names (not `__x__`) that a module of `sources` binds at its top
+    level and that no module reads, imports or takes as an attribute, each
+    as `module:name`."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -63,13 +64,28 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            unread += [f"{module}:{name}" for name in names if name.startswith("_")
-                       and not name.endswith("__") and name not in read]
+            unread += [f"{module}:{name}" for name in names
+                       if not name.endswith("__") and name not in read]
     return unread
 
 
+def _private(name: str) -> bool:
+    return name.split(":")[1].startswith("_")
+
+
 def test_every_private_name_is_read():
-    assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+    unread = unread_names({p.stem: p.read_text() for p in SOURCES})
+    assert [name for name in unread if _private(name)] == []
+
+
+#: Public names that nothing in the package reads: the tests, and the
+#: scripts, use them as references.
+TEST_REFERENCES = ["semantics:check_adequacy", "semantics:p_morphic_reduct_exists"]
+
+
+def test_every_public_name_is_read():
+    unread = unread_names({p.stem: p.read_text() for p in SOURCES})
+    assert [name for name in unread if not _private(name)] == TEST_REFERENCES
 
 
 def test_the_check_sees_an_unread_private_name():
@@ -78,7 +94,16 @@ def test_the_check_sees_an_unread_private_name():
              "def _dead():\n    return _A\nclass _Unused:\n    pass\n",
         "b": "from .a import _B\n_helper: int = 5\n",
     }
-    assert unread_private_names(sources) == ["a:_OLD", "a:_dead", "a:_Unused", "b:_helper"]
+    assert unread_names(sources) == ["a:_OLD", "a:_dead", "a:_Unused", "b:_helper"]
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {
+        "a": "LIMIT, USED = 1, 2\ndef unused():\n    return USED\n"
+             "class Kept:\n    pass\nclass Dropped:\n    pass\n",
+        "b": "from .a import Kept\nSPARE: int = 3\n",
+    }
+    assert unread_names(sources) == ["a:LIMIT", "a:unused", "a:Dropped", "b:SPARE"]
 
 
 CORPUS = PACKAGE.parent.parent / "perfbench" / "corpus"

@@ -39,6 +39,7 @@ from lukas.semantics import (
     point_frame,
     render_frame_file,
     render_model_file,
+    root_of,
     tabular_oracle,
     truth_mask,
 )
@@ -342,6 +343,23 @@ def test_enumeration_concatenates_the_sizes(k):
     sizes = tuple(f for n in range(1, k + 1) for f in semantics.rooted_posets(n))
     assert enumerate_rooted_posets(k) == sizes
     assert all(f.n == n for n in range(1, k + 1) for f in semantics.rooted_posets(n))
+
+
+def test_six_worlds_give_63_rooted_posets(monkeypatch):
+    """Past the cap the enumeration stays isomorph-free and complete: 63
+    rooted posets on 6 points, the count of posets on 5."""
+    monkeypatch.setattr(semantics, "MAX_POSET_WORLDS", 6)
+    semantics.rooted_posets.cache_clear()
+    try:
+        frames = semantics.rooted_posets(6)
+    finally:
+        semantics.rooted_posets.cache_clear()
+    assert len(frames) == 63
+    for frame in frames:
+        pairs = [(i, j) for i in range(6) for j in semantics._bits(frame.rel[i])]
+        assert frame_from_pairs(Mode.INT, 6, pairs) == frame     # a partial order
+        assert root_of(frame) is not None
+    assert len({semantics._canonical_key(6, frame.rel) for frame in frames}) == 63
 
 
 def test_no_rooted_poset_has_no_worlds():
