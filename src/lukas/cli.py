@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 positive verdict, 1 negative verdict (refuted / invalid /
-not found), 2 usage or parse error, 3 resource bound exceeded.
+derivable), 2 usage or parse error, 3 resource bound exceeded.
 
 A command imports what only it needs when it runs, so `check` loads
 neither the prover nor the transforms.
@@ -19,13 +19,12 @@ from typing import Optional
 from .complete_sets import (
     JANKOV_MAX_WORLDS,
     RefutationPreconditionError,
-    SearchExhaustedError,
     build_positive_cpc,
     build_refutation,
+    build_system,
     jankov_family,
     jankov_formula,
     manifest_context,
-    parse_manifest,
     render_manifest,
 )
 from .formulas import Mode, ModeError, ParseError, parse_formula, render
@@ -81,7 +80,7 @@ def _read(path: str) -> str:
 def cmd_check(args, out: _Output) -> int:
     mode, inf = parse_proof_script(_read(args.proof))
     if args.system:
-        ds, _oracle, _family = manifest_context(parse_manifest(_read(args.system)))
+        ds, _oracle, _family = manifest_context(_read(args.system), args.budget)
         if ds.mode is not mode:
             raise ValueError("proof and system modes differ")
     else:
@@ -116,15 +115,14 @@ def cmd_axiomatize(args, out: _Output) -> int:
     if args.bound < 0:
         raise ValueError(f"--bound must be at least 0, got {args.bound}")
     frames = [parse_frame_file(_read(p), args.budget) for p in args.frames]
-    oracle = tabular_oracle(frames)
     family = jankov_family(args.bound)
-    text = render_manifest(frames[0].mode, frames, args.bound, family, oracle)
-    print(text, end="")
+    ds = build_system(tabular_oracle(frames), family, frames[0].mode)
+    print(render_manifest(ds, frames, args.bound, family), end="")
     return 0
 
 
 def cmd_refute(args, out: _Output) -> int:
-    ds, oracle, family = manifest_context(parse_manifest(_read(args.system)))
+    ds, oracle, family = manifest_context(_read(args.system), args.budget)
     formula = parse_formula(args.formula, ds.mode)
     try:
         inf = build_refutation(ds, formula, oracle, family)
@@ -167,7 +165,7 @@ def cmd_transform(args, out: _Output) -> int:
         raise ValueError("transform extract takes no --frames: it consults no oracle")
     mode, inf = parse_proof_script(_read(args.proof))
     if args.system:
-        ds, oracle, _family = manifest_context(parse_manifest(_read(args.system)))
+        ds, oracle, _family = manifest_context(_read(args.system), args.budget)
     else:
         ds, oracle = system(mode), None
     if args.what == "extract":
@@ -202,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lukas",
         description="proof and refutation calculi for intermediate logics and K4")
     parser.add_argument("--budget", type=int, default=8,
-                        help="the most worlds a frame file may have")
+                        help="the most worlds a frame may have, in a frame file or a manifest")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,8 +263,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args, out)
     except (ParseError, ModeError, OSError, ValueError) as exc:
         return out.error(2, "error", exc)
-    except SearchExhaustedError as exc:
-        return out.error(1, "not found", exc)
     except ResourceBoundError as exc:
         return out.error(3, "resource bound", exc)
     except RecursionError:

@@ -68,10 +68,6 @@ from .semantics import (
 )
 
 
-class SearchExhaustedError(Exception):
-    """No witnessing formula was found within the family and search bounds."""
-
-
 class RefutationPreconditionError(ValueError):
     """The formula to refute is derivable according to the oracle."""
 
@@ -216,9 +212,11 @@ def build_refutation(ds: DeductiveSystem,
     (no rs step when sigma(a) is `a`).
 
     Each entry must pair a frame with its Jankov formula, as `jankov_family`
-    does.  No trial search runs: `SearchExhaustedError` means exactly that
-    no frame of the family with a rejected formula refutes `a`.  Boxed
-    formulas raise `ValueError`, since the lemma is proved in Int.
+    does, and `ds` must hold each entry's sign.  No trial search runs: a
+    `ResourceBoundError` means exactly that no frame of the family with a
+    rejected formula refutes `a`, so the family's bound is too small for
+    it.  Boxed formulas raise `ValueError`, since the lemma is proved in
+    Int.
     """
     from .prover import derive_into
     if oracle(a):
@@ -228,7 +226,7 @@ def build_refutation(ds: DeductiveSystem,
         raise ValueError(f"cannot refute the boxed formula {render(a)}: refutations "
                          f"run over the int-mode Jankov family")
     for entry in family:
-        if oracle(entry.formula) or not ds.is_anti_axiom(entry.formula):
+        if not ds.is_anti_axiom(entry.formula):
             continue
         # the first rejected frame that refutes `a` anywhere refutes it at
         # its root: a generated subframe is smaller, so it comes earlier in
@@ -250,7 +248,7 @@ def build_refutation(ds: DeductiveSystem,
             raise ValueError(f"refutation fails checking: {report}")
         return refutation
     bound = max((entry.frame.n for entry in family), default=0)
-    raise SearchExhaustedError(
+    raise ResourceBoundError(
         f"no frame of at most {bound} worlds with a rejected Jankov formula "
         f"refutes {render(a)}")
 
@@ -329,29 +327,18 @@ def build_positive_cpc(a: Formula) -> Inference:
 # --- system manifests ---------------------------------------------------------
 
 
-def render_manifest(mode: Mode, frames: Sequence[Frame], bound: int,
-                    family: Sequence[FamilyEntry],
-                    oracle: Callable[[Formula], bool]) -> str:
-    lines = [f"mode {mode}", f"bound {bound}"]
+def render_manifest(ds: DeductiveSystem, frames: Sequence[Frame], bound: int,
+                    family: Sequence[FamilyEntry]) -> str:
+    """The manifest of `ds`, built by `build_system` from `frames` over
+    `family`: each family formula is marked `-` iff `ds` rejects it."""
+    lines = [f"mode {ds.mode}", f"bound {bound}"]
     for frame in frames:
         pairs = " ".join(f"{i}-{j}" for i in range(frame.n) for j in _bits(frame.rel[i]))
         lines.append(f"frame {frame.n} {pairs}".rstrip())
     for entry in family:
-        sign = "+" if oracle(entry.formula) else "-"
+        sign = "-" if ds.is_anti_axiom(entry.formula) else "+"
         lines.append(f"{sign} {render(entry.formula)}")
     return "\n".join(lines) + "\n"
-
-
-class Manifest(Record):
-    __slots__ = ("mode", "frames", "bound", "marks")
-    mode: Mode
-    frames: tuple[Frame, ...]
-    bound: int
-    marks: tuple[tuple[Sign, Formula], ...]
-
-
-#: The most worlds a manifest `frame` line may give.
-_MANIFEST_MAX_WORLDS = 8
 
 
 def _count(token: str, directive: str) -> int:
@@ -360,7 +347,15 @@ def _count(token: str, directive: str) -> int:
     return int(token)
 
 
-def parse_manifest(text: str) -> Manifest:
+def manifest_context(text: str, max_worlds: Optional[int] = None):
+    """Read a system manifest and return its system, oracle and family.
+
+    The frames fix every sign: the system is `build_system` over them and
+    the family of the manifest's bound.  The `+`/`-` marks, in any order and
+    spelling, must mark exactly that family, each formula with its sign in
+    the system.  With `max_worlds`, a `frame` line of more worlds is a
+    ResourceBoundError on its line, as in a frame file.
+    """
     mode: Optional[Mode] = None
     bound: Optional[int] = None
     frames: list[Frame] = []
@@ -381,9 +376,9 @@ def parse_manifest(text: str) -> Manifest:
                 if mode is None:
                     raise ParseError("manifest must declare mode before frames")
                 n = _count(parts[1], "frame")
-                if n > _MANIFEST_MAX_WORLDS:
+                if max_worlds is not None and n > max_worlds:
                     raise ResourceBoundError(f"frame has {n} worlds, budget allows "
-                                             f"{_MANIFEST_MAX_WORLDS}", line=number)
+                                             f"{max_worlds}", line=number)
                 pairs = []
                 for token in parts[2:]:
                     i, dash, j = token.partition("-")
@@ -401,9 +396,9 @@ def parse_manifest(text: str) -> Manifest:
                 sign = Sign.ASSERT if parts[0] == "+" else Sign.REJECT
                 formula_text = line.split(None, 1)[1]
                 # a family formula's own rendering is read without parsing
-                family = (_family_by_text(bound)
-                          if bound is not None and bound <= MAX_POSET_WORLDS else {})
-                marks.append((sign, family.get(formula_text) or parse_formula_at(
+                by_text = (_family_by_text(bound)
+                           if bound is not None and bound <= MAX_POSET_WORLDS else {})
+                marks.append((sign, by_text.get(formula_text) or parse_formula_at(
                     formula_text, mode, len(line) - len(formula_text))))
             else:
                 raise ParseError(f"unknown manifest directive {parts[0]!r}")
@@ -411,25 +406,19 @@ def parse_manifest(text: str) -> Manifest:
         raise exc.on_line(number) from None
     if mode is None or bound is None or not frames:
         raise ParseError("manifest needs mode, bound and at least one frame")
-    return Manifest(mode, tuple(frames), bound, tuple(marks))
-
-
-def manifest_context(manifest: Manifest):
-    """Rebuild oracle, family, and system from a manifest, verifying that
-    it marks exactly the family, each formula with its sign in the system."""
-    oracle = tabular_oracle(list(manifest.frames))
-    family = jankov_family(manifest.bound)
-    ds = build_system(oracle, family, manifest.mode)
+    oracle = tabular_oracle(frames)
+    family = jankov_family(bound)
+    ds = build_system(oracle, family, mode)
     signs = {**dict.fromkeys(ds.extra_positive, Sign.ASSERT),
              **dict.fromkeys(ds.anti_axioms, Sign.REJECT)}
-    for sign, formula in manifest.marks:
+    for sign, formula in marks:
         if formula not in signs:
             raise ValueError(f"manifest marks {render(formula)}, which is not "
-                             f"in the family of bound {manifest.bound}")
+                             f"in the family of bound {bound}")
         if sign is not signs[formula]:
             raise ValueError(
                 f"manifest sign for {render(formula)} disagrees with its frames")
-    marked = {formula for _sign, formula in manifest.marks}
+    marked = {formula for _sign, formula in marks}
     for entry in family:
         if entry.formula not in marked:
             raise ValueError(f"manifest does not mark {render(entry.formula)}")

@@ -9,13 +9,13 @@ the transformer is never trusted on its own.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .formulas import (
     BOT,
     TOP,
+    And,
     Formula,
     Implies,
     Mode,
@@ -42,8 +42,8 @@ from .kernel import (
 )
 from .prover import derive, derive_into
 from .semantics import (
-    KripkeModel,
     chain_frame,
+    falsifying_model,
     frame_from_pairs,
     frame_valid,
     point_frame,
@@ -212,25 +212,22 @@ def symmetry_transform(inf: Inference,
             outcome = reject_via_lemma(major, {}, just.major)
             if outcome is not None:
                 return outcome
-            # boolean substitutions: refute the minor or the major classically,
-            # one valuation (a one-world model) at a time
-            names = sorted(variables(major))
-            if len(names) <= 10:
-                for values in itertools.product((0, 1), repeat=len(names)):
-                    point = KripkeModel(_POINT, tuple(zip(names, values)))
-                    subst = {n: (TOP if v else BOT) for n, v in zip(names, values)}
-                    if not truth_mask(point, minor):
-                        if derivable(minor):
-                            raise OracleInconsistencyError(
-                                "oracle derives a classically refutable formula")
-                        outcome = reject_via_lemma(
-                            minor, {n: subst[n] for n in variables(minor)}, just.minor)
-                        if outcome is not None:
-                            return outcome
-                    elif not truth_mask(point, formula):
-                        outcome = reject_via_lemma(major, subst, just.major)
-                        if outcome is not None:
-                            return outcome
+            # a boolean substitution: the first valuation that falsifies the
+            # minor or, with the minor true, the conclusion.  Its instance is
+            # closed and classically false, so the lemma is an IPC theorem.
+            point = (falsifying_model(_POINT, And(minor, formula))
+                     if len(variables(major)) <= 10 else None)
+            if point is not None:
+                subst = {n: (TOP if v else BOT) for n, v in point.valuation}
+                if truth_mask(point, minor):
+                    outcome = reject_via_lemma(major, subst, just.major)
+                elif derivable(minor):
+                    raise OracleInconsistencyError(
+                        "oracle derives a classically refutable formula")
+                else:
+                    outcome = reject_via_lemma(minor, subst, just.minor)
+                if outcome is not None:
+                    return outcome
             # substitute the rejected conclusion itself for the variables
             if not derivable(minor):
                 subst = {n: formula for n in variables(minor)}

@@ -264,7 +264,7 @@ def test_criterion_6_standardness_at_desk_scale(tmp_path):
     10 min."""
     ds, oracle, family, frame, _template = cpc_context()
     manifest = tmp_path / "cpc.ds"
-    manifest.write_text(render_manifest(Mode.INT, [frame], 3, family, oracle))
+    manifest.write_text(render_manifest(ds, [frame], 3, family))
     proof_path = tmp_path / "current.proof"
     corpus = _standardness_corpus()
     start = time.monotonic()

@@ -104,6 +104,26 @@ def test_refute_on_derivable_formula(workdir, capsys):
     assert out.strip() == "DERIVABLE"
 
 
+BD3 = "r | (r -> q | (q -> p | ~p))"
+
+
+def test_refute_past_the_manifest_bound_is_a_budget_exit(workdir, capsys):
+    """The 4-chain refutes bd3 only at its root, so a manifest of bound 3
+    holds no rejected Jankov formula whose frame refutes it: that names the
+    bound and exits 3, while its oracle says bd3 is not derivable."""
+    (workdir / "c4.frame").write_text("mode int\nworlds 4\nrel 0 1\nrel 1 2\nrel 2 3\n")
+    code, out = run(capsys, "axiomatize", "--frames", str(workdir / "c4.frame"))
+    assert code == 0 and "bound 3" in out.splitlines()
+    (workdir / "c4.ds").write_text(out)
+    argv = ["refute", "--system", str(workdir / "c4.ds"), BD3]
+    message = f"no frame of at most 3 worlds with a rejected Jankov formula refutes {BD3}"
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"resource bound: {message}\n")
+    assert main(["--format", "json"] + argv) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3}
+
+
 def test_prove_cpc_round_trip(workdir, capsys):
     code, out = run(capsys, "prove-cpc", "p | ~p")
     assert code == 0
@@ -113,10 +133,9 @@ def test_prove_cpc_round_trip(workdir, capsys):
     proof.write_text("\n".join(lines[1:]) + "\n")
     # the script uses classical-system axioms, so check against its manifest
     from lukas.complete_sets import cpc_context, render_manifest
-    from lukas.formulas import Mode
-    ds, oracle, family, frame, _template = cpc_context()
+    ds, _oracle, family, frame, _template = cpc_context()
     manifest = workdir / "cpc.ds"
-    manifest.write_text(render_manifest(Mode.INT, [frame], 3, family, oracle))
+    manifest.write_text(render_manifest(ds, [frame], 3, family))
     code, out = run(capsys, "check", str(proof), "--system", str(manifest))
     assert code == 0 and out.strip() == "OK + p | ~p"
     code, out = run(capsys, "prove-cpc", "p -> q")
@@ -193,6 +212,38 @@ def test_transform_symmetry(workdir, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_transform_symmetry_against_a_manifest(workdir, capsys, fmt):
+    """The proof's `ax` step is a positive Jankov axiom of the 2-chain's
+    manifest, so the input checks only against that system, and so does
+    the refutation of the one hypothesis whose conclusion fails there."""
+    code, manifest = run(capsys, "axiomatize", "--frames", str(workdir / "chain2.frame"))
+    (workdir / "chain2.ds").write_text(manifest)
+    jankov = next(line[2:] for line in manifest.splitlines() if line.startswith("+ "))
+    (workdir / "ax.proof").write_text(
+        f"mode int\nhyp + ({jankov}) -> p | ~p\n1 + {jankov} ; ax\n"
+        f"2 + ({jankov}) -> p | ~p ; hyp\n3 + p | ~p ; mp 2 1\n")
+    proof = str(workdir / "ax.proof")
+    assert main(["transform", "symmetry", proof, "--frames", str(workdir / "chain2.frame")]) == 2
+    assert capsys.readouterr().err == (
+        "error: input inference fails checking: ERR 1 axiom-not-in-system\n")
+    code, out = run(capsys, "--format", fmt, "transform", "symmetry", proof,
+                    "--system", str(workdir / "chain2.ds"))
+    assert code == 0
+    if fmt == "json":
+        record = json.loads(out)
+        assert (record["verdict"], record["index"]) == ("REFUTATION", 1)
+        script = record["payload"]
+    else:
+        header, script = out.split("\n", 1)
+        assert header == "REFUTATION 1"
+    assert script.startswith("# refutes hypothesis 1\nmode int\n")
+    (workdir / "ref.proof").write_text(script)
+    code, out = run(capsys, "check", str(workdir / "ref.proof"),
+                    "--system", str(workdir / "chain2.ds"))
+    assert (code, out) == (0, f"OK - ({jankov}) -> p | ~p\n")
+
+
 #: One input for each way `symmetry_transform` moves the rejection of the
 #: conclusion onto an underivable major: a one-world valuation that refutes
 #: the conclusion, the conclusion substituted into the minor, and into the
@@ -257,7 +308,7 @@ def test_transform_symmetry_checks_its_output(workdir, capsys, monkeypatch):
 
 
 def test_refute_reports_an_unsound_refutation_as_an_error(capsys, monkeypatch):
-    """A refutation that fails its final check is a defect, not "not found"."""
+    """A refutation that fails its final check is a defect, not a budget exit."""
     import lukas.prover
 
     def unproved(builder, a):
@@ -631,6 +682,33 @@ def test_world_counts_over_the_budget_stop_on_their_line(workdir, capsys, name, 
     assert main(["--format", "json"] + argv) == 3
     assert json.loads(capsys.readouterr().out) == {
         "error": "frame has 20000 worlds, budget allows 8", "exit": 3, "line": 2}
+
+
+@pytest.mark.parametrize("worlds", [9, 10])
+def test_a_manifest_frame_line_obeys_the_budget(workdir, capsys, worlds):
+    """A manifest that `--budget n axiomatize` writes for n isolated worlds
+    is read by `--budget n refute` and `check`; at the default budget of 8,
+    its `frame` line on line 3 exits 3, as a frame file's `worlds` line does."""
+    (workdir / "wide.frame").write_text(f"mode int\nworlds {worlds}\n")
+    budget = ["--budget", str(worlds)]
+    code, manifest = run(capsys, *budget, "axiomatize", "--frames", str(workdir / "wide.frame"),
+                         "--bound", "1")
+    assert code == 0
+    assert manifest.splitlines()[2].startswith(f"frame {worlds} 0-0 1-1 ")
+    system = workdir / "wide.ds"
+    system.write_text(manifest)
+    code, out = run(capsys, *budget, "refute", "--system", str(system), "p")
+    assert code == 0 and out.startswith("REFUTED\nmode int\n")
+    (workdir / "p.proof").write_text(out.split("\n", 1)[1])
+    proof = str(workdir / "p.proof")
+    code, out = run(capsys, *budget, "check", proof, "--system", str(system))
+    assert (code, out) == (0, "OK - p\n")
+    message = f"frame has {worlds} worlds, budget allows 8"
+    for argv in (["refute", "--system", str(system), "p"], ["check", proof, "--system", str(system)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"resource bound: {message} (at line 3)\n"
+        assert main(["--format", "json"] + argv) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3, "line": 3}
 
 
 @pytest.mark.parametrize("argv, budget", [

@@ -7,7 +7,6 @@ from generators import random_formula, tautology
 from lukas.complete_sets import (
     FamilyEntry,
     RefutationPreconditionError,
-    SearchExhaustedError,
     build_positive_cpc,
     build_refutation,
     build_system,
@@ -15,7 +14,6 @@ from lukas.complete_sets import (
     jankov_formula,
     jankov_substitution,
     manifest_context,
-    parse_manifest,
     render_manifest,
 )
 from lukas.formulas import (
@@ -43,6 +41,7 @@ from lukas.kernel import (
 from lukas.prover import derive_into
 from lukas.semantics import (
     KripkeModel,
+    ResourceBoundError,
     chain_frame,
     check_adequacy,
     enumerate_rooted_posets,
@@ -204,7 +203,7 @@ def test_refutation_fails_exactly_when_no_rejected_frame_refutes():
                         for e in family)
         try:
             inf = build_refutation(ds, f, oracle, family)
-        except SearchExhaustedError as exc:
+        except ResourceBoundError as exc:
             assert not witnessed, render(f)
             assert "at most 3 worlds" in str(exc)
             found.append(False)
@@ -270,7 +269,7 @@ CPC_MANIFEST = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" /
 
 
 def test_refutation_agrees_with_the_transformer_route_it_replaced():
-    ds, oracle, family = manifest_context(parse_manifest(CPC_MANIFEST.read_text()))
+    ds, oracle, family = manifest_context(CPC_MANIFEST.read_text())
     rng = random.Random(12)
     done = 0
     while done < 40:
@@ -283,7 +282,7 @@ def test_refutation_agrees_with_the_transformer_route_it_replaced():
 
 def test_refutation_reports_a_lemma_that_does_not_prove():
     """A family entry whose formula is not its frame's Jankov formula: the
-    lemma x0 -> ~x0 is no theorem, and that is an error, not "not found"."""
+    lemma x0 -> ~x0 is no theorem, and that is an error, not a budget exit."""
     entry = FamilyEntry(point_frame(), parse_formula("~x0"))
     oracle = tabular_oracle([point_frame()])
     ds = build_system(oracle, [entry])
@@ -309,11 +308,9 @@ def test_manifest_round_trip():
     frames = [chain_frame(2)]
     oracle = tabular_oracle(frames)
     family = jankov_family(3)
-    text = render_manifest(Mode.INT, frames, 3, family, oracle)
-    manifest = parse_manifest(text)
-    assert manifest.bound == 3
-    assert manifest.frames == (chain_frame(2),)
-    ds, oracle2, family2 = manifest_context(manifest)
+    text = render_manifest(build_system(oracle, family), frames, 3, family)
+    assert text.splitlines()[:3] == ["mode int", "bound 3", "frame 2 0-0 0-1 1-1"]
+    ds, oracle2, family2 = manifest_context(text)
     assert ds == build_system(oracle, family)
     assert [e.formula for e in family2] == [e.formula for e in family]
     assert oracle2(parse_formula("~p | ~~p"))
@@ -323,16 +320,16 @@ def test_manifest_rejects_tampered_signs():
     frames = [chain_frame(2)]
     oracle = tabular_oracle(frames)
     family = jankov_family(2)
-    text = render_manifest(Mode.INT, frames, 2, family, oracle)
+    text = render_manifest(build_system(oracle, family), frames, 2, family)
     flipped = text.replace("\n- ", "\n+ ", 1)
     with pytest.raises(ValueError):
-        manifest_context(parse_manifest(flipped))
+        manifest_context(flipped)
 
 
 def point_manifest(bound: int) -> str:
     frames = [point_frame()]
-    return render_manifest(Mode.INT, frames, bound, jankov_family(bound),
-                           tabular_oracle(frames))
+    family = jankov_family(bound)
+    return render_manifest(build_system(tabular_oracle(frames), family), frames, bound, family)
 
 
 def respell(text: str) -> str:
@@ -347,27 +344,24 @@ def test_manifest_marks_need_not_be_canonical():
     lines = [line if line[0] not in "+-" else f"{line[0]}   {respell(line[2:])}  "
              for line in text.splitlines()]
     assert lines != text.splitlines()
-    manifest = parse_manifest("\n".join(lines) + "\n")
-    assert manifest == parse_manifest(text)
-    manifest_context(manifest)
+    assert manifest_context("\n".join(lines) + "\n")[0] == manifest_context(text)[0]
 
 
 def test_manifest_bound_may_follow_the_marks():
     text = point_manifest(3)
     lines = [line for line in text.splitlines() if not line.startswith("bound ")]
-    manifest = parse_manifest("\n".join(lines + ["bound 3"]) + "\n")
-    assert manifest == parse_manifest(text)
-    manifest_context(manifest)
+    moved = "\n".join(lines + ["bound 3"]) + "\n"
+    assert manifest_context(moved)[0] == manifest_context(text)[0]
 
 
 def test_manifest_mark_errors():
     flipped = point_manifest(3).replace("\n- ", "\n+ ", 1)
     with pytest.raises(ValueError, match="disagrees with its frames"):
-        manifest_context(parse_manifest(flipped))
+        manifest_context(flipped)
     outside = render(jankov_family(3)[-1].formula)
     with pytest.raises(ValueError, match="not in the family of bound 2"):
-        manifest_context(parse_manifest(point_manifest(2) + f"+ {outside}\n"))
+        manifest_context(point_manifest(2) + f"+ {outside}\n")
     with pytest.raises(ParseError) as caught:
-        parse_manifest("mode int\nbound 1\nframe 1 0-0\n- ~~x0 &\n")
+        manifest_context("mode int\nbound 1\nframe 1 0-0\n- ~~x0 &\n")
     assert (caught.value.line, caught.value.column) == (4, 9)
     assert str(caught.value) == "unexpected end of input (at line 4, column 9)"

@@ -1,10 +1,11 @@
 """Every name a `lukas` module imports is used in that module, and every
 module-level name is read somewhere in the package, apart from two public
 references that only the tests read.  No linter ships with the package, so
-this stands in for unused-import and dead-code checks.  And a command loads
-only the modules it needs."""
+this stands in for unused-import and dead-code checks.  A command loads only
+the modules it needs, and the functions the benchmark traces still exist."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -130,3 +131,31 @@ def test_a_command_loads_only_what_it_needs(argv, absent):
     assert code == "0"
     assert "lukas.cli" in modules
     assert [m for m in absent if m in modules] == []
+
+
+SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
+
+
+def traced_boundaries() -> list[tuple[str, str, str]]:
+    """(name, module, attribute) of each entry of `BOUNDARIES` in the
+    benchmark's tracer, read from its source without importing it."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"]:
+            return [entry[:3] for entry in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/spans.py assigns no BOUNDARIES")
+
+
+def test_the_traced_boundaries_resolve():
+    """A boundary that names no function reads 0 on every per-layer metric,
+    so a rename in `lukas` must not add one silently.  These four name
+    functions that were deleted or renamed earlier."""
+    unresolved = []
+    for name, module, attribute in traced_boundaries():
+        target = importlib.import_module(module)
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            unresolved.append(name)
+    assert len(traced_boundaries()) == 21
+    assert unresolved == ["transforms.convert", "prover.elaborate", "prover.derive",
+                          "kernel.ipc_axioms"]

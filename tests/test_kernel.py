@@ -558,9 +558,9 @@ def _mutate(rng, inf):
 
 def test_checker_verdicts_on_mutated_corpus_are_pinned():
     import hashlib
-    from lukas.complete_sets import manifest_context, parse_manifest
+    from lukas.complete_sets import manifest_context
     manifest = CORPUS_SCRIPTS[0].parent.parent / "cpc.ds"
-    cpc, _oracle, _family = manifest_context(parse_manifest(manifest.read_text()))
+    cpc, _oracle, _family = manifest_context(manifest.read_text())
     rng = random.Random(7)
     verdicts = []
     for path in CORPUS_SCRIPTS:

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from lukas.complete_sets import FamilyEntry, Manifest, jankov_formula
+from lukas.complete_sets import FamilyEntry, jankov_formula
 from lukas.formulas import Implies, Mode, Record, Var
 from lukas.kernel import (
     MP,
@@ -52,7 +52,6 @@ SAMPLES = [
     CHAIN,
     KripkeModel.of(CHAIN, {"p": 0b10}),
     FamilyEntry(CHAIN, jankov_formula(CHAIN)),
-    Manifest(Mode.INT, (CHAIN,), 2, ((Sign.REJECT, jankov_formula(CHAIN)),)),
 ]
 
 
