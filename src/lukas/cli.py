@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional
 
 from .complete_sets import (
-    JANKOV_MAX_WORLDS,
     RefutationPreconditionError,
     build_positive_cpc,
     build_refutation,
@@ -27,7 +26,7 @@ from .complete_sets import (
     manifest_context,
     render_manifest,
 )
-from .formulas import Mode, ModeError, ParseError, parse_formula, render
+from .formulas import Mode, parse_formula, render
 from .kernel import asserts, check_inference, parse_proof_script, render_proof_script, system
 from .semantics import (
     ResourceBoundError,
@@ -77,14 +76,21 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _proof_system(args, mode: Mode):
+    """The system and oracle of the `--system` manifest, which must be in
+    the proof's `mode`; without `--system`, the bare system of `mode` and
+    no oracle."""
+    if not args.system:
+        return system(mode), None
+    ds, oracle, _family = manifest_context(_read(args.system), args.budget)
+    if ds.mode is not mode:
+        raise ValueError("proof and system modes differ")
+    return ds, oracle
+
+
 def cmd_check(args, out: _Output) -> int:
     mode, inf = parse_proof_script(_read(args.proof))
-    if args.system:
-        ds, _oracle, _family = manifest_context(_read(args.system), args.budget)
-        if ds.mode is not mode:
-            raise ValueError("proof and system modes differ")
-    else:
-        ds = system(mode)
+    ds, _oracle = _proof_system(args, mode)
     report = check_inference(ds, inf)
     out.verdict(str(report))
     return 0 if report.ok else 1
@@ -106,7 +112,7 @@ def cmd_valid(args, out: _Output) -> int:
 
 
 def cmd_jankov(args, out: _Output) -> int:
-    frame = parse_frame_file(_read(args.frame), JANKOV_MAX_WORLDS)
+    frame = parse_frame_file(_read(args.frame), args.budget)
     out.verdict(render(jankov_formula(frame)))
     return 0
 
@@ -164,10 +170,7 @@ def cmd_transform(args, out: _Output) -> int:
     if args.what == "extract" and args.frames is not None:
         raise ValueError("transform extract takes no --frames: it consults no oracle")
     mode, inf = parse_proof_script(_read(args.proof))
-    if args.system:
-        ds, oracle, _family = manifest_context(_read(args.system), args.budget)
-    else:
-        ds, oracle = system(mode), None
+    ds, oracle = _proof_system(args, mode)
     if args.what == "extract":
         result = extract_positive(inf)
         report = check_inference(ds, result)
@@ -193,10 +196,24 @@ def cmd_transform(args, out: _Output) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A malformed command line: the `prog` of the parser that found it,
+    which has printed its usage, and argparse's message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that leaves its usage errors to `main`, which
+    reports them in JSON too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(self.prog, message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lukas",
         description="proof and refutation calculi for intermediate logics and K4")
     parser.add_argument("--budget", type=int, default=8,
@@ -213,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--model")
     p.add_argument("--frame")
-    p.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(run=cmd_valid)
 
     p = sub.add_parser("jankov", help="print the Jankov formula of a frame")
@@ -224,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", nargs="+", required=True)
     p.add_argument("--bound", type=int, default=3,
                    help="frame-size bound for the Jankov family")
-    p.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     p.set_defaults(run=cmd_axiomatize)
 
     p = sub.add_parser("refute", help="emit a refutation proof script")
@@ -251,17 +266,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    # the namespace is filled as the words are read, so a usage error
+    # finds there any `--format` read before it
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        build_parser().parse_args(argv, args)
+    except SystemExit as exc:       # -h
         return 2 if exc.code not in (0, None) else 0
+    except _UsageError as exc:
+        prog, message = exc.args
+        return _Output(args.format == "json").error(2, f"{prog}: error", message)
     out = _Output(args.format == "json")
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return args.run(args, out)
-    except (ParseError, ModeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return out.error(2, "error", exc)
     except ResourceBoundError as exc:
         return out.error(3, "resource bound", exc)

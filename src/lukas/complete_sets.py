@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .formulas import (
+    BOT,
     Formula,
     Implies,
     Mode,
@@ -80,10 +81,6 @@ class TemplateUnavailableError(ValueError):
 # --- Jankov formulas ---------------------------------------------------------
 
 
-#: The most worlds a frame may have for `jankov_formula`.
-JANKOV_MAX_WORLDS = 6
-
-
 def jankov_variables(frame: Frame) -> tuple[Var, ...]:
     return tuple(Var(f"x{i}") for i in range(frame.n))
 
@@ -105,61 +102,37 @@ def jankov_substitution(model: KripkeModel) -> dict[str, Formula]:
 def jankov_formula(frame: Frame) -> Formula:
     """The frame formula of a rooted poset, over one variable per world.
 
-    Variable x_i is meant to hold exactly at the worlds not below world i;
-    each world w then gets a description phi_w of "being at or above w", and
-    the formula says the root description pushes up to a cover.
+    Variable x_i is meant to hold exactly at the worlds not below world i.
+    Each world w gets a description phi_w of "being at or above w": the x_i
+    of the worlds outside w's row, and a climb to w's covers (the minimal
+    worlds strictly above w), or at a maximal world the negated x_i of its
+    row.  The worlds are visited by the size of their rows, so each cover is
+    described before the worlds below it.  The formula says the root
+    description pushes up to a cover.
     """
     if frame.mode is not Mode.INT:
         raise ValueError("Jankov formulas are built over int-mode frames")
     root = root_of(frame)
     if root is None:
         raise ValueError("Jankov formulas need a rooted poset")
-    if frame.n > JANKOV_MAX_WORLDS:
-        raise ResourceBoundError(
-            f"Jankov construction is budgeted to {JANKOV_MAX_WORLDS} worlds")
-
     xs = jankov_variables(frame)
-    n = frame.n
-    below = [frozenset(j for j in range(n) if frame.rel[j] & (1 << i))
-             for i in range(n)]
-
-    def color(w: int) -> list[int]:
-        return [i for i in range(n) if w not in below[i]]
-
-    def covers(w: int) -> list[int]:
-        out = []
-        for u in _bits(frame.rel[w]):
-            if u == w:
-                continue
-            between = [v for v in _bits(frame.rel[w])
-                       if v != w and v != u and frame.rel[v] & (1 << u)]
-            if not between:
-                out.append(u)
-        return sorted(out)
-
+    rel = frame.rel
     phi: dict[int, Formula] = {}
     psi: dict[int, Formula] = {}
-
-    def build(w: int) -> None:
-        if w in phi:
-            return
-        succ = covers(w)
-        for u in succ:
-            build(u)
-        present = [xs[i] for i in color(w)]
-        if not succ:
-            absent = [neg(xs[i]) for i in range(n) if i not in color(w)]
-            phi[w] = conj(present + absent)
-            psi[w] = neg(phi[w])
-            return
-        fresh = [xs[i] for i in range(n) if i not in color(w)]
-        trigger = disj(fresh + [psi[u] for u in succ])
-        landing = disj([phi[u] for u in succ])
-        climb = Implies(trigger, landing)
-        phi[w] = conj(present + [climb]) if present else climb
+    for w in sorted(range(frame.n), key=lambda w: rel[w].bit_count()):
+        above = rel[w] & ~(1 << w)
+        present = [x for i, x in enumerate(xs) if not rel[w] >> i & 1]
+        fresh = [x for i, x in enumerate(xs) if rel[w] >> i & 1]
+        if above:
+            covers = [u for u in _bits(above)
+                      if not any(rel[v] >> u & 1 for v in _bits(above) if v != u)]
+            landing = disj([phi[u] for u in covers])
+            climb = Implies(disj(fresh + [psi[u] for u in covers]), landing)
+            phi[w] = conj(present + [climb])
+        else:
+            landing = BOT
+            phi[w] = conj(present + [neg(x) for x in fresh])
         psi[w] = Implies(phi[w], landing)
-
-    build(root)
     return psi[root]
 
 

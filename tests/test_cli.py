@@ -77,6 +77,30 @@ def test_jankov_output(workdir, capsys):
     assert out.strip() == render(jankov_formula(chain_frame(2)))
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_jankov_obeys_the_world_budget(workdir, capsys, n):
+    """At the default budget of 8, `jankov` prints the formula of a 7- and
+    an 8-world chain; `--budget 6` stops the 7-chain on its worlds line."""
+    from lukas.complete_sets import jankov_formula
+    from lukas.formulas import render
+    from lukas.semantics import chain_frame
+    lines = ["mode int", f"worlds {n}"] + [f"rel {i} {i + 1}" for i in range(n - 1)]
+    frame = workdir / f"c{n}.frame"
+    frame.write_text("\n".join(lines) + "\n")
+    path = str(frame)
+    text = render(jankov_formula(chain_frame(n)))
+    assert run(capsys, "jankov", "--frame", path) == (0, text + "\n")
+    code, out = run(capsys, "--format", "json", "jankov", "--frame", path)
+    assert (code, json.loads(out)) == (0, {"verdict": text})
+    if n == 7:
+        message = "frame has 7 worlds, budget allows 6"
+        assert main(["--budget", "6", "jankov", "--frame", path]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"resource bound: {message} (at line 2)\n")
+        assert main(["--format", "json", "--budget", "6", "jankov", "--frame", path]) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 3, "line": 2}
+
+
 def test_axiomatize_refute_check_pipeline(workdir, capsys):
     code, out = run(capsys, "axiomatize", "--frames", str(workdir / "chain2.frame"))
     assert code == 0
@@ -454,11 +478,20 @@ def test_manifest_value_errors_name_the_line(workdir, capsys, bad, number):
     ("k4.ds", "mode k4\nbound 1\nframe 1\n- ~~x0\n",
      ["check", "{dir}/ok.proof", "--system", "{path}"], "error: proof and system modes differ",
      {"error": "proof and system modes differ", "exit": 2}),
+    ("k4.ds", "mode k4\nbound 1\nframe 1\n- ~~x0\n",
+     ["transform", "extract", "{dir}/ok.proof", "--system", "{path}"],
+     "error: proof and system modes differ",
+     {"error": "proof and system modes differ", "exit": 2}),
+    ("k4.ds", "mode k4\nbound 1\nframe 1\n- ~~x0\n",
+     ["transform", "symmetry", "{dir}/ok.proof", "--system", "{path}"],
+     "error: proof and system modes differ",
+     {"error": "proof and system modes differ", "exit": 2}),
     (None, None, ["transform", "symmetry", "{dir}/ok.proof"],
      "error: transform symmetry needs --system or --frames",
      {"error": "transform symmetry needs --system or --frames", "exit": 2}),
 ], ids=["formula", "proof-script", "resource-bound", "empty-proof-script",
-        "manifest-incomplete", "proof-system-modes-differ", "symmetry-without-oracle"])
+        "manifest-incomplete", "proof-system-modes-differ", "extract-system-modes-differ",
+        "symmetry-system-modes-differ", "symmetry-without-oracle"])
 def test_json_errors_are_records(workdir, capsys, name, text, argv, stderr, record):
     path = workdir / (name or "unused")
     if text is not None:
@@ -713,8 +746,8 @@ def test_a_manifest_frame_line_obeys_the_budget(workdir, capsys, worlds):
 
 @pytest.mark.parametrize("argv, budget", [
     (["--budget", "-1", "valid", "--frame", "{dir}/chain2.frame", "p"], -1),
-    (["valid", "--frame", "{dir}/chain2.frame", "--budget", "-1", "p"], -1),
-    (["axiomatize", "--frames", "{dir}/chain2.frame", "--budget", "-2"], -2),
+    (["--budget", "-3", "valid", "--frame", "{dir}/chain2.frame", "p"], -3),
+    (["--budget", "-2", "axiomatize", "--frames", "{dir}/chain2.frame"], -2),
 ], ids=["global", "valid", "axiomatize"])
 def test_a_negative_budget_is_a_usage_error(workdir, capsys, argv, budget):
     argv = [a.format(dir=workdir) for a in argv]
@@ -730,11 +763,50 @@ def test_a_negative_budget_is_a_usage_error(workdir, capsys, argv, budget):
         "error": "frame has 2 worlds, budget allows 0", "exit": 3, "line": 2}
 
 
+@pytest.mark.parametrize("argv", [
+    ["valid", "--frame", "{dir}/chain2.frame", "--budget", "3", "p"],
+    ["axiomatize", "--frames", "{dir}/chain2.frame", "--budget", "3"],
+    ["refute", "--budget", "3", "--system", str(CORPUS / "cpc.ds"), "p"],
+], ids=["valid", "axiomatize", "refute"])
+def test_budget_after_the_subcommand_is_a_usage_error(workdir, capsys, argv):
+    """`--budget` is a global flag: after a subcommand it is an argument
+    that the subcommand does not know."""
+    argv = [a.format(dir=workdir) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lukas ")
+    message = captured.err.splitlines()[-1].split(": error: ", 1)[1]
+    assert message.startswith("unrecognized arguments: --budget")
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message, "exit": 2}
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--format", "json"], ["--format=json"], ["--form", "json"], ["--f=json"]],
+    ids=["apart", "joined", "abbreviated", "abbreviated-joined"])
+def test_a_usage_error_in_json_prints_a_record(capsys, spelling):
+    message = "the following arguments are required: proof"
+    assert main(["check"]) == 2
+    text = capsys.readouterr()
+    assert text.out == ""
+    assert text.err.startswith("usage: lukas check [-h]")
+    assert text.err.endswith(f"\nlukas check: error: {message}\n")
+    assert main(spelling + ["check"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": message, "exit": 2}
+    assert captured.err == text.err
+    assert main(spelling + ["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lukas ")
+
+
 @pytest.mark.parametrize("argv, cap", [
-    (["jankov", "--frame", "{path}"], 6),
+    (["jankov", "--frame", "{path}"], 8),
     (["transform", "symmetry", "{dir}/ok.proof", "--frames", "{path}"], 8),
     (["--budget", "3", "transform", "symmetry", "{dir}/ok.proof", "--frames", "{path}"], 3),
-], ids=["jankov", "transform", "transform-budget"])
+    (["--budget", "3", "valid", "--frame", "{path}", "p"], 3),
+    (["--budget", "3", "axiomatize", "--frames", "{path}"], 3),
+], ids=["jankov", "transform", "transform-budget", "valid-budget", "axiomatize-budget"])
 def test_frame_files_over_their_cap_stop_on_the_worlds_line(workdir, capsys, argv, cap):
     lines = ["mode int", "worlds 1000"] + [f"rel {i} {i + 1}" for i in range(999)]
     path = workdir / "chain.frame"

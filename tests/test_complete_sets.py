@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from lukas.kernel import (
     rejects,
     system,
 )
+from lukas import semantics
 from lukas.prover import derive_into
 from lukas.semantics import (
     KripkeModel,
@@ -89,6 +91,35 @@ def test_jankov_requires_rooted_poset():
     two_points = frame_from_pairs(Mode.INT, 2, [])
     with pytest.raises(ValueError):
         jankov_formula(two_points)
+
+
+#: sha256 of the renderings of `jankov_formula` over every rooted poset of
+#: 1 to 6 worlds, each followed by three seeded relabellings of it.
+JANKOV_DIGEST = "2907dacd5662126f2d5a4152745f65f6baacb3c44390901e09b439bf1feb370c"
+
+
+def test_jankov_formulas_of_six_worlds_and_their_relabellings(monkeypatch):
+    """A rewrite of the construction must give the very same formulas,
+    whatever order the worlds of a frame come in."""
+    monkeypatch.setattr(semantics, "MAX_POSET_WORLDS", 6)
+    semantics.rooted_posets.cache_clear()
+    try:
+        frames = [f for n in range(1, 7) for f in semantics.rooted_posets(n)]
+    finally:
+        semantics.rooted_posets.cache_clear()
+    rng = random.Random(1)
+    renderings = []
+    for frame in frames:
+        pairs = [(i, j) for i in range(frame.n) for j in semantics._bits(frame.rel[i])]
+        renderings.append(render(jankov_formula(frame)))
+        for _ in range(3):
+            perm = rng.sample(range(frame.n), frame.n)
+            relabelled = frame_from_pairs(Mode.INT, frame.n,
+                                          [(perm[i], perm[j]) for i, j in pairs])
+            renderings.append(render(jankov_formula(relabelled)))
+    assert len(renderings) == 352
+    digest = hashlib.sha256("\n".join(renderings).encode()).hexdigest()
+    assert digest == JANKOV_DIGEST
 
 
 def test_family_is_deterministic_and_duplicate_free():

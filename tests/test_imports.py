@@ -115,7 +115,8 @@ CORPUS = PACKAGE.parent.parent / "perfbench" / "corpus"
     (["check", str(CORPUS / "scripts" / "s000.proof"), "--system", str(CORPUS / "cpc.ds")],
      ["lukas.prover", "lukas.transforms"]),
     (["ipc", "p -> p"], ["lukas.transforms"]),
-], ids=["import", "check", "ipc"])
+    (["jankov", "--frame", str(CORPUS / "point.frame")], ["lukas.prover", "lukas.transforms"]),
+], ids=["import", "check", "ipc", "jankov"])
 def test_a_command_loads_only_what_it_needs(argv, absent):
     """In a fresh interpreter, importing `lukas.cli`, and running a command,
     loads none of the modules in `absent`."""
